@@ -354,12 +354,17 @@ impl MopEyeEngine {
     }
 
     fn report(&mut self) -> RunReport {
-        // Harvest the scheduler's and selector's gated structure counters
-        // into the run profile (no-ops when profiling is off).
-        for (name, value) in self.sched.profile_counters() {
-            self.profiler.record(name, value);
-        }
-        for (name, value) in self.relay.selector.profile_counters() {
+        // Harvest the scheduler's, selector's, wire tap's and connection
+        // table's gated structure counters into the run profile (no-ops when
+        // profiling is off).
+        let counters = self
+            .sched
+            .profile_counters()
+            .into_iter()
+            .chain(self.relay.selector.profile_counters())
+            .chain(self.shared.net.tap().profile_counters())
+            .chain(self.relay.conn_table.profile_counters());
+        for (name, value) in counters {
             self.profiler.record(name, value);
         }
         RunReport {
