@@ -9,9 +9,7 @@
 //! determinism). The packet itself travels as a scheduled `DeliverToApp`
 //! event; the writer only ever sees its wire length.
 
-use std::collections::HashMap;
-
-use mop_packet::{FourTuple, Packet};
+use mop_packet::{FlowMap, FourTuple, Packet};
 use mop_simnet::{FaultDecision, SimTime, TimerScheduler};
 
 use super::{EngineShared, Stage, StageBatch, StageLinks};
@@ -25,7 +23,7 @@ pub struct EgressStage {
     /// The tunnel writer (schemes + delay statistics).
     pub(crate) writer: TunWriter,
     /// Per-connection TunWriter timing lanes (flow-keyed discipline).
-    pub(crate) writer_lanes: HashMap<FourTuple, WriterLane>,
+    pub(crate) writer_lanes: FlowMap<FourTuple, WriterLane>,
 }
 
 impl Stage for EgressStage {
@@ -54,7 +52,7 @@ impl Stage for EgressStage {
 impl EgressStage {
     /// Creates the stage around a configured writer.
     pub fn new(writer: TunWriter) -> Self {
-        Self { writer, writer_lanes: HashMap::new() }
+        Self { writer, writer_lanes: FlowMap::default() }
     }
 
     /// Resets the stage to its just-constructed state for the same schemes,

@@ -10,9 +10,7 @@
 //! (`DeliverToApp`), where the app endpoints consume them and emit their
 //! next requests.
 
-use std::collections::HashMap;
-
-use mop_packet::{Endpoint, FourTuple, Packet, PacketView};
+use mop_packet::{Endpoint, FlowMap, FourTuple, Packet, PacketView};
 use mop_simnet::{BatchPool, SimDuration, SimTime, SlabBatch, TimerScheduler};
 use mop_tun::{AppEndpoint, DnsClient, FlowKind, FlowSpec, ReaderSim};
 use mop_procnet::SocketStateCode;
@@ -30,9 +28,9 @@ pub struct IngressStage {
     /// the slab is recycled.
     pub(crate) batches: BatchPool,
     /// The simulated app endpoints, by app-side flow.
-    pub(crate) apps: HashMap<FourTuple, AppEndpoint>,
+    pub(crate) apps: FlowMap<FourTuple, AppEndpoint>,
     /// The simulated DNS clients, by query flow.
-    pub(crate) dns_clients: HashMap<FourTuple, DnsClient>,
+    pub(crate) dns_clients: FlowMap<FourTuple, DnsClient>,
     /// Sequential source-port pool (single-device flows only).
     pub(crate) next_app_port: u16,
     /// Sequential DNS transaction ids.
@@ -85,8 +83,8 @@ impl IngressStage {
         Self {
             reader,
             batches: BatchPool::for_packets(batch_size),
-            apps: HashMap::new(),
-            dns_clients: HashMap::new(),
+            apps: FlowMap::default(),
+            dns_clients: FlowMap::default(),
             next_app_port: 36_000,
             next_dns_id: 1,
         }

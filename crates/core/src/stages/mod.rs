@@ -42,9 +42,7 @@ pub mod ingress;
 pub mod relay;
 pub mod sink;
 
-use std::collections::HashMap;
-
-use mop_packet::{FourTuple, Packet};
+use mop_packet::{FlowMap, FourTuple, Packet};
 use mop_simnet::{
     CostModel, CpuLedger, SimClock, SimDuration, SimNetwork, SimRng, SimTime, SlabBatch,
     TimerScheduler,
@@ -151,7 +149,7 @@ pub struct EngineShared {
     pub rng: SimRng,
     /// Per-connection RNG streams ([`EngineDiscipline::FlowKeyed`]), keyed
     /// by the canonical four-tuple so both directions share one stream.
-    pub flow_rngs: HashMap<FourTuple, SimRng>,
+    pub flow_rngs: FlowMap<FourTuple, SimRng>,
     /// When the MainWorker frees up ([`WorkerModel::Saturating`] only).
     pub worker_busy_until: SimTime,
     /// How many consecutive backlogged packets the saturating MainWorker has
@@ -171,7 +169,7 @@ impl EngineShared {
             cost: CostModel::android_phone(),
             ledger: CpuLedger::new(),
             rng,
-            flow_rngs: HashMap::new(),
+            flow_rngs: FlowMap::default(),
             worker_busy_until: SimTime::ZERO,
             worker_burst_len: 1,
         }

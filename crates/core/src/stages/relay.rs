@@ -14,11 +14,12 @@
 //! on the scheduler (O(1) schedule + cancel on the timing wheel), and a
 //! timer that actually fires reaps the silent connection.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::IpAddr;
 
 use mop_packet::{
-    DnsMessage, Endpoint, FourTuple, Packet, PacketBuilder, PacketView, SackBlocks, TransportView,
+    DnsMessage, Endpoint, FlowMap, FlowSet, FourTuple, Packet, PacketBuilder, PacketView,
+    SackBlocks, TransportView,
 };
 use mop_procnet::{
     CachedMapper, ConnectionTable, EagerMapper, LazyMapper, MappingStats, MappingStrategy,
@@ -91,17 +92,17 @@ pub struct RelayStage {
     /// Relay counters.
     pub(crate) stats: RelayStats,
     /// External socket of each flow.
-    pub(crate) socket_by_flow: HashMap<FourTuple, SocketId>,
+    pub(crate) socket_by_flow: FlowMap<FourTuple, SocketId>,
     /// Pre-`connect()` timestamps, pending until the connect completes.
-    pub(crate) connect_pre_ts: HashMap<FourTuple, SimTime>,
+    pub(crate) connect_pre_ts: FlowMap<FourTuple, SimTime>,
     /// Flows whose half-close waits for the read side to drain.
-    pub(crate) pending_half_close: HashSet<FourTuple>,
+    pub(crate) pending_half_close: FlowSet<FourTuple>,
     /// Destination-address → domain hints (from specs and DNS answers).
     pub(crate) ip_to_domain: HashMap<IpAddr, String>,
     /// In-flight DNS measurements: send timestamp and queried name.
-    pub(crate) dns_pending: HashMap<FourTuple, (SimTime, String)>,
+    pub(crate) dns_pending: FlowMap<FourTuple, (SimTime, String)>,
     /// When each flow was registered (lazy-mapping bookkeeping).
-    pub(crate) flow_registered_at: HashMap<FourTuple, SimTime>,
+    pub(crate) flow_registered_at: FlowMap<FourTuple, SimTime>,
     /// Reusable scratch for outbound packet batches headed to egress, so the
     /// steady-state segment loop allocates nothing.
     outbound_scratch: Vec<(SimTime, Packet)>,
@@ -152,12 +153,12 @@ impl RelayStage {
             sockets,
             selector: Selector::new(),
             stats: RelayStats::default(),
-            socket_by_flow: HashMap::new(),
-            connect_pre_ts: HashMap::new(),
-            pending_half_close: HashSet::new(),
+            socket_by_flow: FlowMap::default(),
+            connect_pre_ts: FlowMap::default(),
+            pending_half_close: FlowSet::default(),
             ip_to_domain: HashMap::new(),
-            dns_pending: HashMap::new(),
-            flow_registered_at: HashMap::new(),
+            dns_pending: FlowMap::default(),
+            flow_registered_at: FlowMap::default(),
             outbound_scratch: Vec::new(),
             sample_scratch: Vec::new(),
         }
@@ -398,9 +399,7 @@ impl RelayStage {
         let outcome = self.sockets.connect(&mut sh.net, socket, dst, t);
         self.socket_by_flow.insert(flow, socket);
         if let Some(client) = self.clients.get_mut(flow) {
-            client.attach_external(
-                socket.to_string().trim_start_matches("sock#").parse().unwrap_or(0),
-            );
+            client.attach_external(socket.raw());
             client.connect_started_ns = Some(t.as_nanos());
         }
         sched.schedule(outcome.completed_at, Event::ExternalConnected(flow));

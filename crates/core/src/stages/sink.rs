@@ -8,11 +8,10 @@
 //! [`crate::stats::FlowOutcome`]s — start/finish times, delivered bytes,
 //! completion — which the other stages update through the methods here.
 
-use std::collections::HashMap;
 use std::net::IpAddr;
 
 use mop_measure::{AggregateStore, MeasurementKind, NetKind, WindowedAggregateStore};
-use mop_packet::FourTuple;
+use mop_packet::{FlowMap, FourTuple};
 use mop_simnet::SimTime;
 use mop_tun::FlowSpec;
 
@@ -46,7 +45,7 @@ pub struct SinkStage {
     /// epoch-less reports — and their digests — exactly as before).
     pub(crate) windows: Option<WindowedAggregateStore>,
     /// Per-flow outcome bookkeeping.
-    pub(crate) flow_meta: HashMap<FourTuple, FlowMeta>,
+    pub(crate) flow_meta: FlowMap<FourTuple, FlowMeta>,
 }
 
 impl Stage for SinkStage {

@@ -52,7 +52,7 @@ pub mod view;
 pub use builder::PacketBuilder;
 pub use dns::{DnsFlags, DnsMessage, DnsQuestion, DnsRecord, DnsRecordData, DnsType};
 pub use error::{PacketError, Result};
-pub use hash::StableHasher;
+pub use hash::{FlowBuildHasher, FlowHasher, FlowMap, FlowSet, StableHasher};
 pub use ipv4::Ipv4Packet;
 pub use ipv6::Ipv6Packet;
 pub use packet::{IpPacket, Packet, Transport};

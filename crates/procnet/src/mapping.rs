@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use mop_packet::{Endpoint, FourTuple};
+use mop_packet::{Endpoint, FlowMap, FourTuple};
 use mop_simnet::{CostModel, SimDuration, SimRng, SimTime};
 
 use crate::table::ConnectionTable;
@@ -244,7 +244,7 @@ impl CachedMapper {
 /// fresh snapshot, paying only a lookup's worth of CPU.
 #[derive(Debug, Default)]
 pub struct LazyMapper {
-    snapshot: HashMap<FourTuple, u32>,
+    snapshot: FlowMap<FourTuple, u32>,
     snapshot_at: Option<SimTime>,
     /// Table generation the snapshot was taken at; lets a re-parse of an
     /// unchanged table skip re-copying the index.
@@ -528,8 +528,8 @@ mod tests {
         use crate::procfs::{parse_proc_net, render_proc_net};
         use crate::table::Protocol;
 
-        fn full_rebuild(table: &ConnectionTable) -> HashMap<FourTuple, u32> {
-            let mut map = HashMap::new();
+        fn full_rebuild(table: &ConnectionTable) -> FlowMap<FourTuple, u32> {
+            let mut map = FlowMap::default();
             for protocol in [Protocol::Tcp6, Protocol::Tcp, Protocol::Udp, Protocol::Udp6] {
                 let file = render_proc_net(table, protocol);
                 for entry in parse_proc_net(&file) {

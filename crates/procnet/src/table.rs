@@ -1,9 +1,8 @@
 //! The kernel's view of live connections, as exposed through `/proc/net`.
 
-use std::collections::HashMap;
 use std::net::IpAddr;
 
-use mop_packet::{Endpoint, FourTuple};
+use mop_packet::{Endpoint, FlowMap, FourTuple};
 
 /// Which pseudo file a connection appears in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -119,12 +118,12 @@ pub struct ConnectionTable {
     /// Insertion-ordered slots; `None` marks a removed (tombstoned) entry.
     slots: Vec<Option<ConnectionEntry>>,
     /// Live slots per four-tuple, in registration order.
-    positions: HashMap<FourTuple, Vec<usize>>,
+    positions: FlowMap<FourTuple, Vec<usize>>,
     tombstones: usize,
     next_inode: u64,
     /// Incrementally maintained flow → uid index (first registration wins,
     /// matching the entry-scan semantics of `uid_of`).
-    uid_index: HashMap<FourTuple, u32>,
+    uid_index: FlowMap<FourTuple, u32>,
     generation: u64,
     /// Gated instrumentation (written only under the `profiling` feature):
     /// `set_state`/`remove` calls, and slots they and compaction touched.
@@ -262,7 +261,7 @@ impl ConnectionTable {
     /// and re-parsing the `/proc/net` text on every lookup; the parse *cost*
     /// is still charged through the cost model, but the wall-clock work is
     /// amortised O(1).
-    pub fn uid_index(&self) -> &HashMap<FourTuple, u32> {
+    pub fn uid_index(&self) -> &FlowMap<FourTuple, u32> {
         &self.uid_index
     }
 

@@ -153,10 +153,14 @@ impl CostModel {
 
 /// Accumulates CPU busy time per component and memory high-water marks, so
 /// Table 4 (CPU / battery / memory overhead) can be regenerated.
+///
+/// Component names are `&'static str` literals: the relay charges the ledger
+/// on nearly every event, and a borrowed key means a charge to a component
+/// already seen allocates nothing.
 #[derive(Debug, Default, Clone)]
 pub struct CpuLedger {
-    busy: BTreeMap<String, SimDuration>,
-    memory_bytes: BTreeMap<String, usize>,
+    busy: BTreeMap<&'static str, SimDuration>,
+    memory_bytes: BTreeMap<&'static str, usize>,
     memory_peak: usize,
 }
 
@@ -176,13 +180,13 @@ impl CpuLedger {
     }
 
     /// Charges `cost` of CPU time to `component`.
-    pub fn charge(&mut self, component: &str, cost: SimDuration) {
-        *self.busy.entry(component.to_string()).or_default() += cost;
+    pub fn charge(&mut self, component: &'static str, cost: SimDuration) {
+        *self.busy.entry(component).or_default() += cost;
     }
 
     /// Records the current buffer memory attributed to `component`.
-    pub fn set_memory(&mut self, component: &str, bytes: usize) {
-        self.memory_bytes.insert(component.to_string(), bytes);
+    pub fn set_memory(&mut self, component: &'static str, bytes: usize) {
+        self.memory_bytes.insert(component, bytes);
         let total: usize = self.memory_bytes.values().sum();
         self.memory_peak = self.memory_peak.max(total);
     }
@@ -199,7 +203,7 @@ impl CpuLedger {
 
     /// Per-component breakdown, sorted by component name.
     pub fn breakdown(&self) -> Vec<(String, SimDuration)> {
-        self.busy.iter().map(|(k, v)| (k.clone(), *v)).collect()
+        self.busy.iter().map(|(k, v)| ((*k).to_string(), *v)).collect()
     }
 
     /// CPU utilisation (0–100 %) over a wall-clock interval.
@@ -230,10 +234,10 @@ impl CpuLedger {
     /// Merges another ledger into this one.
     pub fn merge(&mut self, other: &CpuLedger) {
         for (k, v) in &other.busy {
-            *self.busy.entry(k.clone()).or_default() += *v;
+            *self.busy.entry(*k).or_default() += *v;
         }
         for (k, v) in &other.memory_bytes {
-            self.memory_bytes.insert(k.clone(), *v);
+            self.memory_bytes.insert(*k, *v);
         }
         let total: usize = self.memory_bytes.values().sum();
         self.memory_peak = self.memory_peak.max(other.memory_peak).max(total);

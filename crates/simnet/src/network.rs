@@ -7,10 +7,9 @@
 //! Every answer is also recorded on the [`WireTap`] so that ground-truth
 //! (tcpdump-equivalent) RTTs are available to the accuracy experiments.
 
-use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 
-use mop_packet::{Endpoint, FourTuple};
+use mop_packet::{Endpoint, FlowMap, FourTuple};
 
 use crate::dnssrv::{DnsAnswer, DnsServerConfig};
 use crate::fault::{FaultDecision, FaultPlan};
@@ -247,8 +246,8 @@ impl SimNetworkBuilder {
             uplink_busy_until: SimTime::ZERO,
             keying: self.keying,
             handover: self.handover,
-            flow_ctx: HashMap::new(),
-            fault_rng: HashMap::new(),
+            flow_ctx: FlowMap::default(),
+            fault_rng: FlowMap::default(),
         }
     }
 }
@@ -272,8 +271,8 @@ pub struct SimNetwork {
     uplink_busy_until: SimTime,
     keying: NetKeying,
     handover: Option<(SimTime, AccessProfile)>,
-    flow_ctx: HashMap<FourTuple, FlowNetCtx>,
-    fault_rng: HashMap<FourTuple, SimRng>,
+    flow_ctx: FlowMap<FourTuple, FlowNetCtx>,
+    fault_rng: FlowMap<FourTuple, SimRng>,
 }
 
 impl SimNetwork {

@@ -8,9 +8,9 @@
 //! selector with a `wakeup()` hook, and the `protect()` bookkeeping whose
 //! cost §3.5.2 eliminates.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use mop_packet::{Endpoint, FourTuple};
+use mop_packet::{Endpoint, FlowMap, FourTuple};
 
 use crate::network::{ConnectOutcome, SimNetwork};
 use crate::pool::BufferPool;
@@ -19,6 +19,13 @@ use crate::time::SimTime;
 /// Identifier of a socket within a [`SocketSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SocketId(u64);
+
+impl SocketId {
+    /// The socket's number: the same value `Display` prints after `sock#`.
+    pub fn raw(self) -> u64 {
+        self.0
+    }
+}
 
 impl std::fmt::Display for SocketId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -77,7 +84,7 @@ struct SocketEntry {
 /// A set of simulated sockets sharing an ephemeral port space.
 #[derive(Debug, Default)]
 pub struct SocketSet {
-    sockets: HashMap<u64, SocketEntry>,
+    sockets: FlowMap<u64, SocketEntry>,
     next_id: u64,
     next_port: u16,
     /// True once `addDisallowedApplication()` has been applied, making
@@ -92,7 +99,7 @@ impl SocketSet {
     /// Creates an empty socket set.
     pub fn new() -> Self {
         Self {
-            sockets: HashMap::new(),
+            sockets: FlowMap::default(),
             next_id: 0,
             next_port: 42000,
             vpn_disallowed_application: false,
@@ -441,7 +448,7 @@ pub struct Selector {
     /// entry that iteration skips.
     registered: Vec<Option<SocketId>>,
     /// Live sockets only; maps each to its slot in `registered`.
-    positions: HashMap<SocketId, usize>,
+    positions: FlowMap<SocketId, usize>,
     tombstones: usize,
     wakeup_pending: bool,
     wakeup_count: u64,
@@ -594,6 +601,15 @@ mod tests {
 
     fn google() -> Endpoint {
         Endpoint::v4(216, 58, 221, 132, 443)
+    }
+
+    #[test]
+    fn raw_id_is_the_number_display_prints() {
+        let mut set = SocketSet::new();
+        for _ in 0..12 {
+            let id = set.create(SocketMode::NonBlocking);
+            assert_eq!(id.to_string(), format!("sock#{}", id.raw()));
+        }
     }
 
     #[test]

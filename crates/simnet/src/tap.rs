@@ -6,9 +6,8 @@
 //! below any measuring application, so its SYN→SYN/ACK gaps are ground truth.
 
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
 
-use mop_packet::FourTuple;
+use mop_packet::{FlowMap, FlowSet, FourTuple};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -72,7 +71,7 @@ pub struct TapRecord {
 pub struct WireTap {
     records: Vec<TapRecord>,
     /// Each flow's list id in `positions`.
-    by_flow: HashMap<FourTuple, u32>,
+    by_flow: FlowMap<FourTuple, u32>,
     /// Per-flow positions into `records`, in capture order.
     positions: Vec<Vec<u32>>,
     /// The most recently recorded flow and its list id: consecutive records
@@ -192,7 +191,7 @@ impl WireTap {
     /// All handshake RTTs in the capture, keyed by flow, in SYN order: one
     /// entry per flow that has one, placed at its first outbound SYN.
     pub fn all_handshake_rtts(&self) -> Vec<(FourTuple, SimDuration)> {
-        let mut seen = HashSet::with_capacity(self.by_flow.len());
+        let mut seen = FlowSet::with_capacity_and_hasher(self.by_flow.len(), Default::default());
         self.records
             .iter()
             .filter(|r| r.kind == TapKind::Syn && r.direction == TapDirection::Outbound)

@@ -9,9 +9,7 @@
 //! the identifier of its external socket; the [`ClientRegistry`] is the
 //! "cached TCP client list" the paper removes clients from on RST.
 
-use std::collections::HashMap;
-
-use mop_packet::FourTuple;
+use mop_packet::{FlowMap, FourTuple};
 
 use crate::machine::TcpStateMachine;
 use crate::recovery::RecoveryState;
@@ -107,7 +105,7 @@ impl TcpClient {
 /// The cached TCP client list, keyed by four-tuple.
 #[derive(Debug, Default)]
 pub struct ClientRegistry {
-    clients: HashMap<FourTuple, TcpClient>,
+    clients: FlowMap<FourTuple, TcpClient>,
     isn_counter: u32,
     created_total: u64,
     removed_total: u64,
@@ -116,7 +114,12 @@ pub struct ClientRegistry {
 impl ClientRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
-        Self { clients: HashMap::new(), isn_counter: 0x1000, created_total: 0, removed_total: 0 }
+        Self {
+            clients: FlowMap::default(),
+            isn_counter: 0x1000,
+            created_total: 0,
+            removed_total: 0,
+        }
     }
 
     /// Creates an empty registry with room for `capacity` concurrent clients,
@@ -124,7 +127,7 @@ impl ClientRegistry {
     /// front instead of on the packet path.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            clients: HashMap::with_capacity(capacity),
+            clients: FlowMap::with_capacity_and_hasher(capacity, Default::default()),
             isn_counter: 0x1000,
             created_total: 0,
             removed_total: 0,

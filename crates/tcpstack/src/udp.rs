@@ -6,9 +6,7 @@
 //! the UDP analogue of a TCP client: the app-side flow plus the external
 //! socket handle and the outstanding DNS transactions.
 
-use std::collections::HashMap;
-
-use mop_packet::{DnsMessage, FourTuple};
+use mop_packet::{DnsMessage, FlowMap, FourTuple};
 
 use crate::client::ExternalSocketHandle;
 
@@ -115,7 +113,7 @@ impl UdpAssociation {
 /// The registry of live UDP associations, keyed by flow.
 #[derive(Debug, Default)]
 pub struct UdpRegistry {
-    associations: HashMap<FourTuple, UdpAssociation>,
+    associations: FlowMap<FourTuple, UdpAssociation>,
 }
 
 impl UdpRegistry {
@@ -128,7 +126,7 @@ impl UdpRegistry {
     /// associations (shard-sized pre-allocation, like
     /// [`crate::ClientRegistry::with_capacity`]).
     pub fn with_capacity(capacity: usize) -> Self {
-        Self { associations: HashMap::with_capacity(capacity) }
+        Self { associations: FlowMap::with_capacity_and_hasher(capacity, Default::default()) }
     }
 
     /// Resets the registry to its just-constructed state, keeping the table
