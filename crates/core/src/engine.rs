@@ -26,19 +26,22 @@
 //! tunnel-write delay distributions and the resource ledger — everything the
 //! paper's evaluation sections need.
 
-use mop_packet::{FourTuple, Packet};
+use mop_packet::Packet;
 use mop_simnet::{Profiler, SimNetwork, SimTime, SlabBatch, TimerScheduler};
 use mop_tun::{FlowSpec, ReaderSim, Workload};
 
 use crate::config::MopEyeConfig;
 use crate::stages::{
-    EgressStage, EngineShared, IngressStage, RelayStage, SinkStage, Stage, StageBatch, StageLinks,
+    EgressStage, EngineShared, FlowId, IngressStage, RelayStage, SinkStage, Stage, StageBatch,
+    StageLinks,
 };
 use crate::tun_writer::TunWriter;
 
 pub use crate::report::RunReport;
 
-/// Internal events driving the engine loop, routed between stages.
+/// Internal events driving the engine loop, routed between stages. Every
+/// event of an existing flow carries its [`FlowId`], resolved once when the
+/// flow started or its packet was parsed, so routing probes no table.
 #[derive(Debug)]
 pub(crate) enum Event {
     /// An app opens a flow described by the spec. (→ ingress)
@@ -51,29 +54,34 @@ pub(crate) enum Event {
     /// engine loop coalesces consecutive same-instant slabs into one burst
     /// before dispatching.
     ProcessTunBatch(SlabBatch),
-    /// The external connect for `flow` has completed (successfully or not).
+    /// The external connect of the flow has completed (successfully or not).
     /// (→ relay)
-    ExternalConnected(FourTuple),
-    /// Response data has become readable on the external socket of `flow`.
+    ExternalConnected(FlowId),
+    /// Response data has become readable on the flow's external socket.
     /// (→ relay)
-    SocketReadable(FourTuple),
+    SocketReadable(FlowId),
     /// The DNS response for `flow` has arrived; relay it to the app.
     /// (→ relay)
     DnsResponse {
-        /// The app-side DNS flow.
-        flow: FourTuple,
+        /// The DNS flow.
+        flow: FlowId,
         /// The response packet to write to the tunnel.
         packet: Packet,
     },
-    /// A packet written to the tunnel is delivered to the app side.
-    /// (→ ingress)
-    DeliverToApp(Packet),
-    /// The cancellable idle timer of `flow` expired with no relay activity.
+    /// A packet written to the tunnel is delivered to the app side of
+    /// `flow`. (→ ingress)
+    DeliverToApp {
+        /// The flow the packet belongs to.
+        flow: FlowId,
+        /// The packet, as the app receives it.
+        packet: Packet,
+    },
+    /// The flow's cancellable idle timer expired with no relay activity.
     /// (→ relay)
-    IdleTimeout(FourTuple),
-    /// The retransmission timer of `flow` expired with data still in flight.
+    IdleTimeout(FlowId),
+    /// The flow's retransmission timer expired with data still in flight.
     /// (→ relay)
-    RtoTimeout(FourTuple),
+    RtoTimeout(FlowId),
 }
 
 impl Event {
@@ -85,7 +93,7 @@ impl Event {
             Event::ExternalConnected(_) => "event.external_connected",
             Event::SocketReadable(_) => "event.socket_readable",
             Event::DnsResponse { .. } => "event.dns_response",
-            Event::DeliverToApp(_) => "event.deliver_to_app",
+            Event::DeliverToApp { .. } => "event.deliver_to_app",
             Event::IdleTimeout(_) => "event.idle_timeout",
             Event::RtoTimeout(_) => "event.rto_timeout",
         }
@@ -118,7 +126,7 @@ impl MopEyeEngine {
             ingress,
             relay,
             egress,
-            sink: SinkStage::new(),
+            sink: SinkStage::default(),
             sched,
             events_processed: 0,
             profiler: Profiler::new(),
@@ -151,11 +159,6 @@ impl MopEyeEngine {
     /// Access to the underlying network (e.g. to inspect the wire tap).
     pub fn network(&self) -> &SimNetwork {
         &self.shared.net
-    }
-
-    /// The pipeline stages, in datapath order.
-    pub(crate) fn stages(&mut self) -> [&mut dyn Stage; 4] {
-        [&mut self.ingress, &mut self.relay, &mut self.egress, &mut self.sink]
     }
 
     /// The stage names, in datapath order (diagnostics and docs).
@@ -245,15 +248,18 @@ impl MopEyeEngine {
         self.report()
     }
 
-    /// Pre-sizes every stage's per-flow tables for `flows` concurrent
-    /// connections, so a fleet-scale run pays its table growth up front
-    /// rather than on the packet path.
+    /// Pre-sizes the flow table for `flows` flows, so a fleet-scale run
+    /// pays its table growth up front rather than on the packet path.
     pub fn reserve_flows(&mut self, flows: usize) {
-        for stage in self.stages() {
-            stage.reserve_flows(flows);
-        }
-        self.shared.reserve_flows(flows);
+        self.shared.flows.reserve(flows);
     }
+
+    /// Flow-table index probes of the current run: one per flow start and
+    /// one per parsed TUN packet; every other event carries its flow.
+    pub fn flow_index_lookups(&self) -> u64 {
+        self.shared.flows.index_lookups()
+    }
+
 
     /// Counts and dispatches one event; false stops the run (event budget).
     fn dispatch(&mut self, at: SimTime, event: Event) -> bool {
@@ -271,14 +277,9 @@ impl MopEyeEngine {
     fn route(&mut self, now: SimTime, event: Event) {
         let (shared, sched) = (&mut self.shared, &mut self.sched);
         match event {
-            Event::FlowStart(spec) => self.ingress.on_flow_start(
-                shared,
-                &mut self.relay,
-                &mut self.sink,
-                sched,
-                now,
-                spec,
-            ),
+            Event::FlowStart(spec) => {
+                self.ingress.on_flow_start(shared, &mut self.relay, sched, now, spec)
+            }
             Event::ProcessTunBatch(_) => {
                 unreachable!("TUN batches are coalesced and dispatched by the run_flows loop")
             }
@@ -302,22 +303,10 @@ impl MopEyeEngine {
                 flow,
                 packet,
             ),
-            Event::DeliverToApp(packet) => self.ingress.on_deliver_to_app(
-                shared,
-                &mut self.relay,
-                &mut self.sink,
-                sched,
-                now,
-                packet,
-            ),
-            Event::IdleTimeout(flow) => self.relay.on_idle_timeout(
-                shared,
-                &mut self.egress,
-                &mut self.sink,
-                sched,
-                now,
-                flow,
-            ),
+            Event::DeliverToApp { flow, packet } => {
+                self.ingress.on_deliver_to_app(shared, &mut self.relay, sched, now, flow, packet)
+            }
+            Event::IdleTimeout(flow) => self.relay.on_idle_timeout(shared, sched, now, flow),
             Event::RtoTimeout(flow) => {
                 self.relay.on_rto_timeout(shared, &mut self.egress, sched, now, flow)
             }
@@ -344,7 +333,6 @@ impl MopEyeEngine {
             sched: &mut self.sched,
             relay: Some(&mut self.relay),
             egress: Some(&mut self.egress),
-            sink: Some(&mut self.sink),
         };
         self.ingress.process_batch(&mut links, &mut batch);
         if let StageBatch::Tun(slab) = batch {
@@ -368,7 +356,7 @@ impl MopEyeEngine {
             self.profiler.record(name, value);
         }
         RunReport {
-            flows: self.sink.flow_outcomes(),
+            flows: self.shared.flows.outcomes(),
             samples: std::mem::take(&mut self.sink.samples),
             aggregates: std::mem::take(&mut self.sink.aggregates),
             windows: self.sink.windows.take(),

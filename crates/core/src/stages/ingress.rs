@@ -1,21 +1,24 @@
 //! The ingress stage: TUN retrieval and parse.
 //!
-//! This is the app-facing end of the pipeline. Simulated app endpoints (and
-//! DNS clients) live here; when one writes a packet "into the tunnel", the
-//! raw IP bytes are sealed into a pooled slab batch, the `ReaderSim` models
-//! the TUN retrieval cost for the configured read strategy, and the slab is
-//! scheduled to the relay stage as a `ProcessTunBatch` event (the engine
-//! loop coalesces same-instant slabs into larger bursts). Packets the
-//! egress stage delivers back to the apps re-enter here
-//! (`DeliverToApp`), where the app endpoints consume them and emit their
-//! next requests.
+//! This is the app-facing end of the pipeline. Flows start here: the
+//! simulated app endpoint (or DNS client) goes into the flow's record in the
+//! [flow table](super::flows). When an app writes a packet "into the
+//! tunnel", the raw IP bytes are sealed into a pooled slab batch, the
+//! `ReaderSim` models the TUN retrieval cost for the configured read
+//! strategy, and the slab is scheduled to the relay stage as a
+//! `ProcessTunBatch` event (the engine loop coalesces same-instant slabs into
+//! larger bursts). Parsing a packet resolves its flow with the one index
+//! probe of its event. Packets the egress stage delivers back to the apps
+//! re-enter here (`DeliverToApp`, carrying the flow), where the app endpoints
+//! consume them and emit their next requests.
 
-use mop_packet::{Endpoint, FlowMap, FourTuple, Packet, PacketView};
-use mop_simnet::{BatchPool, SimDuration, SimTime, SlabBatch, TimerScheduler};
+use mop_packet::{Endpoint, FourTuple, Packet, PacketView};
+use mop_simnet::{BatchPool, SimDuration, SimRng, SimTime, SlabBatch, TimerScheduler};
 use mop_tun::{AppEndpoint, DnsClient, FlowKind, FlowSpec, ReaderSim};
 use mop_procnet::SocketStateCode;
 
-use super::{EngineShared, RelayStage, SinkStage, Stage, StageBatch, StageLinks};
+use super::flows::FlowMeta;
+use super::{EngineShared, FlowId, RelayStage, Stage, StageBatch, StageLinks};
 use crate::engine::Event;
 
 /// The TUN retrieval + parse stage. See the [module docs](self).
@@ -27,10 +30,6 @@ pub struct IngressStage {
     /// packets into a pooled slab, the relay parses them by reference, then
     /// the slab is recycled.
     pub(crate) batches: BatchPool,
-    /// The simulated app endpoints, by app-side flow.
-    pub(crate) apps: FlowMap<FourTuple, AppEndpoint>,
-    /// The simulated DNS clients, by query flow.
-    pub(crate) dns_clients: FlowMap<FourTuple, DnsClient>,
     /// Sequential source-port pool (single-device flows only).
     pub(crate) next_app_port: u16,
     /// Sequential DNS transaction ids.
@@ -42,10 +41,6 @@ impl Stage for IngressStage {
         "ingress"
     }
 
-    fn reserve_flows(&mut self, flows: usize) {
-        self.apps.reserve(flows);
-    }
-
     /// The MainWorker drains one TUN slab: each packet is parsed zero-copy
     /// straight out of the slab bytes, charged its parse cost (which, under
     /// the saturating model, amortises across the burst), and handed to the
@@ -54,10 +49,8 @@ impl Stage for IngressStage {
     /// dispatch granularity changed.
     fn process_batch(&mut self, links: &mut StageLinks<'_>, batch: &mut StageBatch) {
         let StageBatch::Tun(slab) = batch else { return };
-        let StageLinks { shared, sched, relay, egress, sink } = links;
-        let (Some(relay), Some(egress), Some(sink)) =
-            (relay.as_deref_mut(), egress.as_deref_mut(), sink.as_deref_mut())
-        else {
+        let StageLinks { shared, sched, relay, egress, .. } = links;
+        let (Some(relay), Some(egress)) = (relay.as_deref_mut(), egress.as_deref_mut()) else {
             return;
         };
         for i in 0..slab.len() {
@@ -65,10 +58,10 @@ impl Stage for IngressStage {
             shared.clock.advance_to(due);
             match PacketView::parse(slab.packet(i)) {
                 Ok(packet) => {
-                    let flow_key = packet.four_tuple();
-                    let parse_cost = Self::parse_cost(shared, flow_key);
+                    let flow = packet.four_tuple().map(|tuple| shared.flows.resolve(tuple));
+                    let parse_cost = Self::parse_cost(shared, flow);
                     let start = shared.worker_step(due, parse_cost);
-                    relay.on_packet(shared, egress, sink, sched, start, &packet);
+                    relay.on_packet(shared, egress, sched, start, flow, &packet);
                 }
                 Err(_) => relay.stats.parse_errors += 1,
             }
@@ -83,22 +76,18 @@ impl IngressStage {
         Self {
             reader,
             batches: BatchPool::for_packets(batch_size),
-            apps: FlowMap::default(),
-            dns_clients: FlowMap::default(),
             next_app_port: 36_000,
             next_dns_id: 1,
         }
     }
 
     /// Resets the stage to its just-constructed state, keeping the slab pool
-    /// and table allocations: the reader restarts its poll loop at time zero
+    /// allocation: the reader restarts its poll loop at time zero
     /// and the port/transaction-id counters rewind so a reused stage hands
     /// out the same identifiers a fresh one would.
     pub(crate) fn reset(&mut self) {
         self.reader.reset();
         self.batches.reset_stats();
-        self.apps.clear();
-        self.dns_clients.clear();
         self.next_app_port = 36_000;
         self.next_dns_id = 1;
     }
@@ -110,14 +99,14 @@ impl IngressStage {
         port
     }
 
-    /// An app opens the flow described by `spec`: create the endpoint (TCP)
-    /// or DNS client, register the connection, and inject the opening packet
-    /// into the tunnel.
+    /// An app opens the flow described by `spec`: resolve its record, store
+    /// the endpoint (TCP) or DNS client and the outcome bookkeeping in it,
+    /// register the connection, and inject the opening packet into the
+    /// tunnel.
     pub(crate) fn on_flow_start(
         &mut self,
         sh: &mut EngineShared,
         relay: &mut RelayStage,
-        sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
         spec: FlowSpec,
@@ -129,7 +118,7 @@ impl IngressStage {
             Some(src) => src,
             None => Endpoint::v4(10, 0, 0, 2, self.alloc_port()),
         };
-        match spec.kind {
+        let (id, opening) = match spec.kind {
             FlowKind::Tcp => {
                 let flow = FourTuple::new(src, spec.dst);
                 let mut app = AppEndpoint::new(
@@ -140,33 +129,35 @@ impl IngressStage {
                     spec.close_after,
                 );
                 let syn = app.syn_packet();
-                self.apps.insert(flow, app);
-                sink.flow_started(flow, &spec, now);
+                let id = sh.flows.resolve(flow);
+                sh.flows.record_mut(id).app = Some(app);
                 relay.conn_table.register(flow, true, spec.uid, SocketStateCode::SynSent);
-                relay.flow_registered_at.insert(flow, now);
                 if let Some(domain) = &spec.domain {
                     relay.ip_to_domain.insert(spec.dst.addr, domain.clone());
                 }
-                self.inject_app_packet(sh, relay, sched, now, syn);
+                (id, syn)
             }
             FlowKind::Dns => {
                 let resolver = Endpoint::new(sh.net.dns_config().addr, 53);
                 let flow = FourTuple::new(src, resolver);
-                let id = self.next_dns_id;
+                let dns_id = self.next_dns_id;
                 self.next_dns_id = self.next_dns_id.wrapping_add(1).max(1);
                 let name = spec.domain.clone().unwrap_or_else(|| "unknown.example".to_string());
-                let client = DnsClient::new(spec.uid, &spec.package, src, resolver, id, &name);
+                let client = DnsClient::new(spec.uid, &spec.package, src, resolver, dns_id, &name);
                 let query = client.query_packet();
-                self.dns_clients.insert(flow, client);
-                sink.flow_started(flow, &spec, now);
+                let id = sh.flows.resolve(flow);
+                sh.flows.record_mut(id).dns = Some(client);
                 relay.conn_table.register(flow, false, spec.uid, SocketStateCode::Close);
-                relay.flow_registered_at.insert(flow, now);
-                self.inject_app_packet(sh, relay, sched, now, query);
+                (id, query)
             }
-        }
+        };
+        let record = sh.flows.record_mut(id);
+        record.meta = Some(FlowMeta::started(&spec, now));
+        record.registered_at = Some(now);
+        self.inject_app_packet(sh, relay, sched, now, id, opening);
     }
 
-    /// An app wrote a packet into the tunnel: the raw IP bytes are sealed
+    /// An app of `flow` wrote a packet into the tunnel: the raw IP bytes are sealed
     /// into a pooled slab batch, the TunReader's retrieval is simulated and
     /// the slab is scheduled to the relay stage. This mirrors the real
     /// datapath — the TUN device hands MopEye bytes, not parsed structures —
@@ -179,69 +170,70 @@ impl IngressStage {
         relay: &mut RelayStage,
         sched: &mut TimerScheduler<Event>,
         at: SimTime,
+        flow: FlowId,
         packet: Packet,
     ) {
-        let flow_key = packet.four_tuple();
         let mut slab = self.batches.get();
         let wire_len = slab.push_with(|data| packet.encode_into(data));
         sh.tun.record_app_write(wire_len);
-        let mut rng = sh.checkout_rng_opt(flow_key);
+        let mut rng = sh.checkout_rng(flow);
         let retrieval = self.reader.retrieve(at, &sh.cost, &mut rng);
         sh.ledger.charge("TunReader", retrieval.polling_cpu + sh.cost.tun_read.sample(&mut rng));
         // TunReader puts the packet in the read queue and wakes the selector
         // so the relay's MainWorker notices it (§3.2).
         relay.selector.wakeup();
         let handoff = sh.cost.context_switch.sample(&mut rng);
-        sh.checkin_rng_opt(flow_key, rng);
+        sh.checkin_rng(flow, rng);
         let due = retrieval.retrieved_at + handoff;
         slab.stamp_due(due);
         sched.schedule(due, Event::ProcessTunBatch(slab));
     }
 
     /// The per-packet header-parse cost the relay's MainWorker pays, drawn
-    /// from the flow's stream (the parse itself happens zero-copy on the
-    /// pooled bytes).
-    pub(crate) fn parse_cost(
-        sh: &mut EngineShared,
-        flow_key: Option<FourTuple>,
-    ) -> SimDuration {
-        let mut rng = sh.checkout_rng_opt(flow_key);
-        let cost = SimDuration::from_micros(rng.int_inclusive(4, 25));
-        sh.checkin_rng_opt(flow_key, rng);
+    /// from the flow's stream, or the shared one for a packet without a
+    /// four-tuple (the parse itself happens zero-copy on the pooled bytes).
+    pub(crate) fn parse_cost(sh: &mut EngineShared, flow: Option<FlowId>) -> SimDuration {
+        let draw = |rng: &mut SimRng| SimDuration::from_micros(rng.int_inclusive(4, 25));
+        let Some(flow) = flow else { return draw(&mut sh.rng) };
+        let mut rng = sh.checkout_rng(flow);
+        let cost = draw(&mut rng);
+        sh.checkin_rng(flow, rng);
         cost
     }
 
-    /// A packet written by the egress stage reaches the app side: DNS
+    /// A packet the egress stage wrote for `flow` reaches the app side: DNS
     /// clients consume answers, app endpoints consume data and emit their
     /// next requests back into the tunnel.
     pub(crate) fn on_deliver_to_app(
         &mut self,
         sh: &mut EngineShared,
         relay: &mut RelayStage,
-        sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
+        flow: FlowId,
         packet: Packet,
     ) {
-        let Some(reverse) = packet.four_tuple() else { return };
-        let flow = reverse.reversed();
-        if let Some(client) = self.dns_clients.get_mut(&flow) {
+        let record = sh.flows.record_mut(flow);
+        if let Some(client) = record.dns.as_mut() {
             if client.handle(&packet) {
-                sink.finish_flow(flow, now, true);
+                record.finish(now, true);
             }
             return;
         }
-        if let Some(app) = self.apps.get_mut(&flow) {
-            let responses = app.handle(&packet);
-            let bytes_received = app.bytes_received;
+        let Some(app) = record.app.as_mut() else { return };
+        let responses = app.handle(&packet);
+        if let Some(meta) = record.meta.as_mut() {
+            meta.bytes_received = app.bytes_received;
+            meta.finished_at = now;
             // Only a clean close counts as completion; a reset app stays failed.
-            let done_cleanly = app.state() == mop_tun::AppState::Done;
-            sink.flow_progress(flow, now, bytes_received, done_cleanly);
-            for (i, response) in responses.into_iter().enumerate() {
-                // Consecutive packets from the app leave a few microseconds apart.
-                let at = now + SimDuration::from_micros(20 * (i as u64 + 1));
-                self.inject_app_packet(sh, relay, sched, at, response);
+            if app.state() == mop_tun::AppState::Done {
+                meta.completed = true;
             }
+        }
+        for (i, response) in responses.into_iter().enumerate() {
+            // Consecutive packets from the app leave a few microseconds apart.
+            let at = now + SimDuration::from_micros(20 * (i as u64 + 1));
+            self.inject_app_packet(sh, relay, sched, at, flow, response);
         }
     }
 

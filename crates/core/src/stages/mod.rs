@@ -15,7 +15,7 @@
 //!                                     ▼
 //!                                ┌─────────┐
 //!                                │  sink   │  measurement fold:
-//!                                └─────────┘  sketches + samples + outcomes
+//!                                └─────────┘  sketches + samples
 //! ```
 //!
 //! * [`ingress`] — TUN retrieval and parse: the app endpoints write raw IP
@@ -32,17 +32,19 @@
 //!
 //! Stages own their state exclusively; anything genuinely cross-cutting —
 //! the clock, the simulated network, the cost model and CPU ledger, the
-//! flow-keyed RNG streams, the TUN device both ends touch — lives in
-//! [`EngineShared`], passed explicitly into every stage call. Cross-stage
-//! effects travel either as return values routed by the engine or as events
-//! scheduled on the timing wheel; no stage reaches into another's fields.
+//! TUN device both ends touch, and the [`flows`] table that holds every
+//! flow's record and live state — lives in [`EngineShared`], passed
+//! explicitly into every stage call. Cross-stage effects travel either as
+//! return values routed by the engine or as events scheduled on the timing
+//! wheel; no stage reaches into another's fields.
 
 pub mod egress;
+pub mod flows;
 pub mod ingress;
 pub mod relay;
 pub mod sink;
 
-use mop_packet::{FlowMap, FourTuple, Packet};
+use mop_packet::Packet;
 use mop_simnet::{
     CostModel, CpuLedger, SimClock, SimDuration, SimNetwork, SimRng, SimTime, SlabBatch,
     TimerScheduler,
@@ -54,6 +56,7 @@ use crate::engine::Event;
 use crate::stats::RttSample;
 
 pub use egress::EgressStage;
+pub use flows::{FlowId, FlowTable};
 pub use ingress::IngressStage;
 pub use relay::RelayStage;
 pub use sink::SinkStage;
@@ -73,14 +76,17 @@ pub enum StageBatch {
     Tun(SlabBatch),
     /// Relay-decided packets headed back to the apps through egress.
     Outbound {
+        /// The flow every packet of the batch belongs to.
+        flow: FlowId,
         /// `(processing start, packet)` pairs in relay-decision order.
         packets: Vec<(SimTime, Packet)>,
         /// Whether temporary socket-connect threads were live when the batch
         /// was emitted (tunnel-write contention, §3.5.1).
         connect_threads_active: bool,
     },
-    /// Finished RTT measurements headed for the measurement sink.
-    Samples(Vec<RttSample>),
+    /// Finished RTT measurements, each with its flow, headed for the
+    /// measurement sink.
+    Samples(Vec<(FlowId, RttSample)>),
 }
 
 /// The connections a stage can reach while processing a batch: the shared
@@ -98,25 +104,16 @@ pub struct StageLinks<'a> {
     pub relay: Option<&'a mut RelayStage>,
     /// The egress stage, when the callee sits upstream of it.
     pub egress: Option<&'a mut EgressStage>,
-    /// The measurement sink, when the callee sits upstream of it.
-    pub sink: Option<&'a mut SinkStage>,
 }
 
 /// One stage of the engine datapath. The trait is deliberately small: the
 /// engine drives stages through their concrete methods (each stage's inputs
 /// and outputs are its own), and uses the trait where it treats the pipeline
-/// uniformly — naming stages in diagnostics, pre-sizing their tables for a
-/// fleet-scale run, and feeding them batches of work.
+/// uniformly — naming stages in diagnostics and feeding them batches of
+/// work.
 pub trait Stage {
     /// The stage's name in the pipeline diagram.
     fn name(&self) -> &'static str;
-
-    /// Pre-sizes per-flow tables for `flows` concurrent connections, so a
-    /// fleet-scale run pays its table growth up front rather than on the
-    /// packet path.
-    fn reserve_flows(&mut self, flows: usize) {
-        let _ = flows;
-    }
 
     /// Consumes one batch of work, using `links` for the substrate and any
     /// downstream stages. Per-item semantics are identical to the item-wise
@@ -129,7 +126,7 @@ pub trait Stage {
 
 /// The cross-cutting substrate every stage draws on: virtual time, the
 /// simulated network and TUN device, the calibrated cost model, the CPU
-/// ledger, and the engine's (flow-keyed) RNG streams.
+/// ledger, the device-wide RNG stream and the per-flow state.
 #[derive(Debug)]
 pub struct EngineShared {
     /// The engine configuration.
@@ -147,9 +144,9 @@ pub struct EngineShared {
     pub ledger: CpuLedger,
     /// The device-wide RNG stream ([`EngineDiscipline::SharedDevice`]).
     pub rng: SimRng,
-    /// Per-connection RNG streams ([`EngineDiscipline::FlowKeyed`]), keyed
-    /// by the canonical four-tuple so both directions share one stream.
-    pub flow_rngs: FlowMap<FourTuple, SimRng>,
+    /// Every flow's record and live state, including its RNG stream under
+    /// [`EngineDiscipline::FlowKeyed`] (see [`flows`]).
+    pub flows: FlowTable,
     /// When the MainWorker frees up ([`WorkerModel::Saturating`] only).
     pub worker_busy_until: SimTime,
     /// How many consecutive backlogged packets the saturating MainWorker has
@@ -169,7 +166,7 @@ impl EngineShared {
             cost: CostModel::android_phone(),
             ledger: CpuLedger::new(),
             rng,
-            flow_rngs: FlowMap::default(),
+            flows: FlowTable::default(),
             worker_busy_until: SimTime::ZERO,
             worker_burst_len: 1,
         }
@@ -178,38 +175,32 @@ impl EngineShared {
     /// Resets the substrate for a new run over `net`, keeping the config,
     /// the calibrated cost model and every table allocation: the clock
     /// restarts at zero, the device-wide RNG is reseeded from the config
-    /// seed, and the tunnel device and ledger are cleared — state
-    /// indistinguishable from [`EngineShared::new`] with the same config.
+    /// seed, and the tunnel device, ledger and flow table are cleared —
+    /// state indistinguishable from [`EngineShared::new`] with the same
+    /// config.
     pub fn reset(&mut self, net: SimNetwork) {
         self.clock = SimClock::new();
         self.net = net;
         self.tun.reset();
         self.ledger.reset();
         self.rng = SimRng::seed_from_u64(self.config.seed);
-        self.flow_rngs.clear();
+        self.flows.reset();
         self.worker_busy_until = SimTime::ZERO;
         self.worker_burst_len = 1;
     }
 
-    /// Pre-sizes the keyed-stream table (flow-keyed discipline only).
-    pub fn reserve_flows(&mut self, flows: usize) {
-        if self.config.discipline == EngineDiscipline::FlowKeyed {
-            self.flow_rngs.reserve(flows);
-        }
-    }
-
     /// Checks out the RNG stream backing `flow`'s noise: the device-wide
     /// stream under [`EngineDiscipline::SharedDevice`], the flow's own
-    /// stream (seeded from `config.seed ^ hash(flow)`) under
+    /// stream (seeded from `config.seed ^ hash(four-tuple)`) under
     /// [`EngineDiscipline::FlowKeyed`]. Pair with [`EngineShared::checkin_rng`].
-    pub fn checkout_rng(&mut self, flow: FourTuple) -> SimRng {
+    pub fn checkout_rng(&mut self, flow: FlowId) -> SimRng {
         match self.config.discipline {
             EngineDiscipline::SharedDevice => {
                 std::mem::replace(&mut self.rng, SimRng::seed_from_u64(0))
             }
             EngineDiscipline::FlowKeyed => {
-                let key = flow.canonical();
-                self.flow_rngs.remove(&key).unwrap_or_else(|| {
+                self.flows.live_mut(flow).and_then(|live| live.rng.take()).unwrap_or_else(|| {
+                    let key = self.flows.key(flow).canonical();
                     SimRng::seed_from_u64(self.config.seed ^ key.stable_hash() ^ ENGINE_KEY_SALT)
                 })
             }
@@ -217,29 +208,10 @@ impl EngineShared {
     }
 
     /// Returns a stream checked out with [`EngineShared::checkout_rng`].
-    pub fn checkin_rng(&mut self, flow: FourTuple, rng: SimRng) {
+    pub fn checkin_rng(&mut self, flow: FlowId, rng: SimRng) {
         match self.config.discipline {
             EngineDiscipline::SharedDevice => self.rng = rng,
-            EngineDiscipline::FlowKeyed => {
-                self.flow_rngs.insert(flow.canonical(), rng);
-            }
-        }
-    }
-
-    /// [`EngineShared::checkout_rng`] for packets whose four-tuple may be
-    /// absent (malformed or non-IP): those fall back to the shared stream.
-    pub fn checkout_rng_opt(&mut self, flow: Option<FourTuple>) -> SimRng {
-        match flow {
-            Some(flow) => self.checkout_rng(flow),
-            None => std::mem::replace(&mut self.rng, SimRng::seed_from_u64(0)),
-        }
-    }
-
-    /// Returns a stream checked out with [`EngineShared::checkout_rng_opt`].
-    pub fn checkin_rng_opt(&mut self, flow: Option<FourTuple>, rng: SimRng) {
-        match flow {
-            Some(flow) => self.checkin_rng(flow, rng),
-            None => self.rng = rng,
+            EngineDiscipline::FlowKeyed => self.flows.live_or_take(flow).rng = Some(rng),
         }
     }
 
@@ -299,11 +271,10 @@ mod tests {
     use crate::config::MopEyeConfig;
     use crate::engine::MopEyeEngine;
 
-    /// Teardown must release the cross-stage keyed state: the shared
-    /// substrate's RNG streams, the egress stage's writer lanes and the
-    /// relay stage's clients — so shard memory is bounded by *concurrent*
+    /// Teardown must release every flow's live state — its TCP client, RNG
+    /// stream and writer lane — so shard memory is bounded by *concurrent*
     /// flows, not by every flow a fleet run has ever seen. (This needs
-    /// stage internals, hence a unit test rather than an integration test.)
+    /// engine internals, hence a unit test rather than an integration test.)
     #[test]
     fn flow_keyed_engine_evicts_finished_flow_state() {
         let flows: Vec<FlowSpec> = (0..30)
@@ -325,11 +296,12 @@ mod tests {
         let mut engine = MopEyeEngine::new(MopEyeConfig::fleet_shard(), net);
         let report = engine.run_flows(flows);
         assert_eq!(report.relay.connects_ok, 30);
-        // Teardown released the keyed state: memory is bounded by concurrent
-        // flows, not total flows — entries recreated by the app's final ACKs
-        // are swept by the zombie-client cleanup.
-        assert_eq!(engine.shared.flow_rngs.len(), 0, "flow RNG streams not evicted");
-        assert_eq!(engine.egress.writer_lanes.len(), 0, "writer lanes not evicted");
-        assert_eq!(engine.relay.clients.len(), 0, "zombie clients not removed");
+        // Teardown released the live state: memory is bounded by concurrent
+        // flows, not total flows — state recreated by the app's final ACKs
+        // is swept by the zombie-client cleanup.
+        let flows = &engine.shared.flows;
+        assert_eq!(flows.live_clients(), 0, "zombie clients not removed");
+        assert_eq!(flows.live_slots(), 0, "flow RNG streams or writer lanes not evicted");
+        assert_eq!(report.flows.len(), 30, "records outlive their live state");
     }
 }

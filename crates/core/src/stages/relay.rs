@@ -13,25 +13,26 @@
 //! with an idle timeout, every relayed segment re-arms a cancellable timer
 //! on the scheduler (O(1) schedule + cancel on the timing wheel), and a
 //! timer that actually fires reaps the silent connection.
+//! Per-flow state lives in the [flow table](super::flows): handlers take a
+//! [`FlowId`] and read its four-tuple only to reach the layers below.
 
 use std::collections::HashMap;
 use std::net::IpAddr;
 
 use mop_packet::{
-    DnsMessage, Endpoint, FlowMap, FlowSet, FourTuple, Packet, PacketBuilder, PacketView,
-    SackBlocks, TransportView,
+    DnsMessage, Endpoint, Packet, PacketBuilder, PacketView, SackBlocks, TransportView,
 };
 use mop_procnet::{
     CachedMapper, ConnectionTable, EagerMapper, LazyMapper, MappingStats, MappingStrategy,
     PackageManager, SocketStateCode,
 };
 use mop_simnet::{
-    Selector, SimDuration, SimTime, SocketId, SocketMode, SocketSet, SocketState, TimerHandle,
+    Selector, SimDuration, SimTime, SocketMode, SocketSet, SocketState, TimerHandle,
     TimerScheduler,
 };
-use mop_tcpstack::{ClientRegistry, RecoveryState, RelayAction, SegmentVerdict, UdpRegistry};
+use mop_tcpstack::{RecoveryState, RelayAction, SegmentVerdict, TcpStateMachine, UdpRegistry};
 
-use super::{EgressStage, EngineShared, SinkStage, Stage, StageBatch, StageLinks};
+use super::{EgressStage, EngineShared, FlowId, SinkStage, Stage, StageBatch, StageLinks};
 use crate::config::{EngineDiscipline, ProtectMode, TimestampMode};
 use crate::engine::Event;
 use crate::stats::{RelayStats, RttSample, SampleKind};
@@ -75,8 +76,6 @@ impl Mapper {
 /// The TCP/UDP/DNS dispatch stage. See the [module docs](self).
 #[derive(Debug)]
 pub struct RelayStage {
-    /// The cached TCP client list (state machines + timer tokens).
-    pub(crate) clients: ClientRegistry,
     /// UDP associations and DNS transaction tracking.
     pub(crate) udp: UdpRegistry,
     /// The shard's `/proc/net` view.
@@ -91,33 +90,18 @@ pub struct RelayStage {
     pub(crate) selector: Selector,
     /// Relay counters.
     pub(crate) stats: RelayStats,
-    /// External socket of each flow.
-    pub(crate) socket_by_flow: FlowMap<FourTuple, SocketId>,
-    /// Pre-`connect()` timestamps, pending until the connect completes.
-    pub(crate) connect_pre_ts: FlowMap<FourTuple, SimTime>,
-    /// Flows whose half-close waits for the read side to drain.
-    pub(crate) pending_half_close: FlowSet<FourTuple>,
     /// Destination-address → domain hints (from specs and DNS answers).
     pub(crate) ip_to_domain: HashMap<IpAddr, String>,
-    /// In-flight DNS measurements: send timestamp and queried name.
-    pub(crate) dns_pending: FlowMap<FourTuple, (SimTime, String)>,
-    /// When each flow was registered (lazy-mapping bookkeeping).
-    pub(crate) flow_registered_at: FlowMap<FourTuple, SimTime>,
     /// Reusable scratch for outbound packet batches headed to egress, so the
     /// steady-state segment loop allocates nothing.
     outbound_scratch: Vec<(SimTime, Packet)>,
     /// Reusable scratch for sample batches headed to the sink.
-    sample_scratch: Vec<RttSample>,
+    sample_scratch: Vec<(FlowId, RttSample)>,
 }
 
 impl Stage for RelayStage {
     fn name(&self) -> &'static str {
         "relay"
-    }
-
-    fn reserve_flows(&mut self, flows: usize) {
-        self.flow_registered_at.reserve(flows);
-        self.socket_by_flow.reserve(flows);
     }
 
     /// An outbound batch passes through the relay on its way to egress: the
@@ -126,7 +110,7 @@ impl Stage for RelayStage {
     /// egress link.
     fn process_batch(&mut self, links: &mut StageLinks<'_>, batch: &mut StageBatch) {
         let StageBatch::Outbound { connect_threads_active, .. } = batch else { return };
-        *connect_threads_active = !self.connect_pre_ts.is_empty();
+        *connect_threads_active = links.shared.flows.connects_pending();
         let Some(egress) = links.egress.take() else { return };
         egress.process_batch(links, batch);
     }
@@ -145,7 +129,6 @@ impl RelayStage {
             MappingStrategy::Lazy => Mapper::Lazy(LazyMapper::new()),
         };
         Self {
-            clients: ClientRegistry::new(),
             udp: UdpRegistry::new(),
             conn_table: ConnectionTable::new(),
             packages: PackageManager::new(),
@@ -153,12 +136,7 @@ impl RelayStage {
             sockets,
             selector: Selector::new(),
             stats: RelayStats::default(),
-            socket_by_flow: FlowMap::default(),
-            connect_pre_ts: FlowMap::default(),
-            pending_half_close: FlowSet::default(),
             ip_to_domain: HashMap::new(),
-            dns_pending: FlowMap::default(),
-            flow_registered_at: FlowMap::default(),
             outbound_scratch: Vec::new(),
             sample_scratch: Vec::new(),
         }
@@ -169,7 +147,6 @@ impl RelayStage {
     /// strategy (mappers are a couple of empty tables); the socket set keeps
     /// its protect-mode configuration and pooled read buffers.
     pub(crate) fn reset(&mut self) {
-        self.clients.reset();
         self.udp.reset();
         self.conn_table.reset();
         self.packages.reset();
@@ -181,29 +158,24 @@ impl RelayStage {
         self.sockets.reset();
         self.selector.reset();
         self.stats = RelayStats::default();
-        self.socket_by_flow.clear();
-        self.connect_pre_ts.clear();
-        self.pending_half_close.clear();
         self.ip_to_domain.clear();
-        self.dns_pending.clear();
-        self.flow_registered_at.clear();
         self.outbound_scratch.clear();
         self.sample_scratch.clear();
     }
 
-    /// Routes a burst of outbound packets to egress through the batch path
-    /// (via the relay's own [`Stage::process_batch`], which stamps the
-    /// connect-thread flag), then reclaims the scratch vector.
+    /// Routes a burst of `flow`'s outbound packets to egress through the
+    /// batch path (via the relay's own [`Stage::process_batch`], which stamps
+    /// the connect-thread flag), then reclaims the scratch vector.
     fn emit_outbound(
         &mut self,
         sh: &mut EngineShared,
         egress: &mut EgressStage,
         sched: &mut TimerScheduler<Event>,
+        flow: FlowId,
         packets: Vec<(SimTime, Packet)>,
     ) {
-        let mut batch = StageBatch::Outbound { packets, connect_threads_active: false };
-        let mut links =
-            StageLinks { shared: sh, sched, relay: None, egress: Some(egress), sink: None };
+        let mut batch = StageBatch::Outbound { flow, packets, connect_threads_active: false };
+        let mut links = StageLinks { shared: sh, sched, relay: None, egress: Some(egress) };
         self.process_batch(&mut links, &mut batch);
         if let StageBatch::Outbound { mut packets, .. } = batch {
             packets.clear();
@@ -211,19 +183,20 @@ impl RelayStage {
         }
     }
 
-    /// Routes one finished measurement to the sink through the batch path,
-    /// then reclaims the scratch vector.
+    /// Routes one finished measurement of `flow` to the sink through the
+    /// batch path, then reclaims the scratch vector.
     fn emit_sample(
         &mut self,
         sh: &mut EngineShared,
         sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
+        flow: FlowId,
         sample: RttSample,
     ) {
         let mut samples = std::mem::take(&mut self.sample_scratch);
-        samples.push(sample);
+        samples.push((flow, sample));
         let mut batch = StageBatch::Samples(samples);
-        let mut links = StageLinks { shared: sh, sched, relay: None, egress: None, sink: None };
+        let mut links = StageLinks { shared: sh, sched, relay: None, egress: None };
         sink.process_batch(&mut links, &mut batch);
         if let StageBatch::Samples(samples) = batch {
             // The sink drained the batch; keep the allocation for next time.
@@ -233,14 +206,15 @@ impl RelayStage {
 
     /// The MainWorker's relay decision, working entirely on borrowed views —
     /// no payload is copied unless data actually has to cross to the socket
-    /// channel.
+    /// channel. `flow` is the packet's record, resolved once at parse
+    /// (`None` for a packet without a four-tuple).
     pub(crate) fn on_packet(
         &mut self,
         sh: &mut EngineShared,
         egress: &mut EgressStage,
-        sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
+        flow: Option<FlowId>,
         packet: &PacketView<'_>,
     ) {
         if matches!(packet.transport(), TransportView::Other(..)) {
@@ -248,13 +222,13 @@ impl RelayStage {
             // opaquely, nothing to measure and nothing to count as an error.
             return;
         }
-        let Some(flow) = packet.four_tuple() else {
+        let Some(flow) = flow else {
             self.stats.parse_errors += 1;
             return;
         };
         match packet.transport() {
             TransportView::Tcp(segment) => {
-                let client = self.clients.get_or_create(flow);
+                let client = sh.flows.client_or_create(flow);
                 let (packets, actions, verdict) =
                     client.machine_mut().on_tunnel_segment_view(segment);
                 match verdict {
@@ -285,71 +259,68 @@ impl RelayStage {
                     );
                 }
                 for pkt in packets {
-                    self.write_out(sh, egress, sched, now, pkt);
+                    self.write_out(sh, egress, sched, now, flow, pkt);
                 }
                 for action in actions {
-                    self.apply_action(sh, egress, sink, sched, now, flow, action);
+                    self.apply_action(sh, egress, sched, now, flow, action);
                 }
                 // A torn-down connection's tail (the app's final ACK after
                 // RemoveClient already ran) lands on a freshly created
                 // machine and is discarded; the machine is still in Listen
                 // because only a SYN moves it off. Drop that zombie client
-                // and the keyed state the tail packet recreated, so a fleet
+                // and the live state the tail packet recreated, so a fleet
                 // run's memory tracks live connections. (Flow-keyed only:
                 // the single-device engine keeps its historical behaviour
                 // bit-for-bit.)
                 if sh.config.discipline == EngineDiscipline::FlowKeyed
-                    && self
-                        .clients
-                        .get(flow)
+                    && sh
+                        .flows
+                        .client_mut(flow)
                         .is_some_and(|c| c.state() == mop_tcpstack::TcpState::Listen)
                 {
-                    self.disarm_timers(sched, flow);
-                    self.clients.remove(flow);
-                    self.release_flow_state(sh, egress, flow);
+                    Self::disarm_timers(sh, sched, flow);
+                    sh.flows.remove_client(flow);
+                    Self::release_flow_state(sh, flow);
                 }
                 // Every relayed segment is activity: re-arm the connection's
                 // cancellable idle timer (a no-op unless configured).
-                self.rearm_idle(sh, sched, now, flow);
-                self.update_memory_ledger(sh);
+                Self::rearm_idle(sh, sched, now, flow);
+                Self::update_memory_ledger(sh);
             }
             TransportView::Udp(datagram) => {
                 self.stats.udp_datagrams += 1;
-                let assoc = self.udp.get_or_create(flow);
+                let assoc = self.udp.get_or_create(sh.flows.key(flow));
                 let transaction = assoc.on_outgoing(datagram.payload(), now.as_nanos()).cloned();
                 if let Some(tx) = transaction {
                     self.stats.dns_queries += 1;
-                    self.start_dns_measurement(sh, sink, sched, now, flow, &tx);
+                    self.start_dns_measurement(sh, sched, now, flow, &tx);
                 }
             }
             TransportView::Other(..) => unreachable!("handled before the four-tuple guard"),
         }
     }
 
-    /// Routes one outbound packet to the egress stage.
+    /// Routes one outbound packet of `flow` to the egress stage.
     fn write_out(
         &mut self,
         sh: &mut EngineShared,
         egress: &mut EgressStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
+        flow: FlowId,
         packet: Packet,
     ) {
-        let connect_threads_active = !self.connect_pre_ts.is_empty();
-        egress.write_to_tunnel(sh, sched, now, packet, connect_threads_active);
+        let connect_threads_active = sh.flows.connects_pending();
+        egress.write_to_tunnel(sh, sched, now, flow, packet, connect_threads_active);
     }
 
-    // One parameter per downstream stage the action can touch; grouping them
-    // would only obscure which stage a call reaches.
-    #[allow(clippy::too_many_arguments)]
     fn apply_action(
         &mut self,
         sh: &mut EngineShared,
         egress: &mut EgressStage,
-        sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        flow: FlowId,
         action: RelayAction,
     ) {
         match action {
@@ -358,8 +329,8 @@ impl RelayStage {
                 self.relay_data(sh, egress, sched, now, flow, &bytes)
             }
             RelayAction::HalfCloseExternal => self.half_close(sh, egress, sched, now, flow),
-            RelayAction::CloseExternal => self.close_external(flow),
-            RelayAction::RemoveClient => self.remove_client(sh, egress, sink, sched, now, flow),
+            RelayAction::CloseExternal => self.close_external(sh, flow),
+            RelayAction::RemoveClient => self.remove_client(sh, sched, now, flow),
         }
     }
 
@@ -370,7 +341,7 @@ impl RelayStage {
         sh: &mut EngineShared,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        flow: FlowId,
         dst: Endpoint,
     ) {
         let mut rng = sh.checkout_rng(flow);
@@ -389,17 +360,19 @@ impl RelayStage {
         // than of socket-creation order.
         let socket = match sh.config.discipline {
             EngineDiscipline::SharedDevice => self.sockets.create(SocketMode::Blocking),
-            EngineDiscipline::FlowKeyed => self.sockets.create_bound(SocketMode::Blocking, flow.src),
+            EngineDiscipline::FlowKeyed => {
+                self.sockets.create_bound(SocketMode::Blocking, sh.flows.key(flow).src)
+            }
         };
         if sh.config.protect == ProtectMode::PerSocket {
             self.sockets.protect(socket);
         }
         // Pre-connect timestamp, taken immediately before connect() (§4.1.1).
-        self.connect_pre_ts.insert(flow, sh.timestamp(t));
+        let pre = sh.timestamp(t);
+        sh.flows.set_connect_pre(flow, pre);
         let outcome = self.sockets.connect(&mut sh.net, socket, dst, t);
-        self.socket_by_flow.insert(flow, socket);
-        if let Some(client) = self.clients.get_mut(flow) {
-            client.attach_external(socket.raw());
+        sh.flows.record_mut(flow).socket = Some(socket);
+        if let Some(client) = sh.flows.client_mut(flow) {
             client.connect_started_ns = Some(t.as_nanos());
         }
         sched.schedule(outcome.completed_at, Event::ExternalConnected(flow));
@@ -415,11 +388,12 @@ impl RelayStage {
         sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        flow: FlowId,
     ) {
-        let Some(&socket) = self.socket_by_flow.get(&flow) else { return };
+        let Some(socket) = sh.flows.record(flow).socket else { return };
+        let tuple = sh.flows.key(flow);
         let state = self.sockets.poll_connect(socket, now);
-        let pre = self.connect_pre_ts.remove(&flow).unwrap_or(now);
+        let pre = sh.flows.take_connect_pre(flow).unwrap_or(now);
         let mut rng = sh.checkout_rng(flow);
         // Post-connect timestamp: exact in the blocking connect thread, or
         // delayed by the selector dispatch when taken from the event loop.
@@ -442,10 +416,8 @@ impl RelayStage {
                 // Lazy mapping happens here, in the connect thread, after the
                 // handshake with the server is complete (§3.3).
                 let (uid, package) = self.map_flow(sh, flow, now);
-                if let Some(client) = self.clients.get_mut(flow) {
+                if let Some(client) = sh.flows.client_mut(flow) {
                     client.connect_finished_ns = Some(now.as_nanos());
-                    client.app_uid = uid;
-                    client.app_package = package.clone();
                     // Only networks that can fault the data path get recovery
                     // state; clean runs carry no sender scoreboard, draw no
                     // randomness and arm no retransmission timers. The
@@ -460,7 +432,7 @@ impl RelayStage {
                 sh.ledger.charge("ConnectThreads", register);
                 self.selector.register(socket);
                 self.sockets.set_mode(socket, SocketMode::NonBlocking);
-                self.conn_table.set_state(flow, SocketStateCode::Established);
+                self.conn_table.set_state(tuple, SocketStateCode::Established);
                 // Record the per-app RTT sample.
                 let tcpdump_ms = self
                     .sockets
@@ -469,34 +441,25 @@ impl RelayStage {
                     .map(|d| d.as_millis_f64());
                 let sample = RttSample {
                     kind: SampleKind::Tcp,
-                    flow,
+                    flow: tuple,
                     uid,
                     package,
-                    domain: self.domain_for(sh, flow.dst.addr),
+                    domain: self.domain_for(sh, tuple.dst.addr),
                     measured_ms: (post - pre).as_millis_f64(),
                     true_ms: outcome.map(|o| o.true_rtt.as_millis_f64()).unwrap_or(0.0),
                     tcpdump_ms,
                     at: now,
                 };
-                self.emit_sample(sh, sink, sched, sample);
+                self.emit_sample(sh, sink, sched, flow, sample);
                 // Complete the handshake with the app (§2.3).
-                if let Some(client) = self.clients.get_mut(flow) {
-                    let packets = client.machine_mut().on_external_connected();
-                    for pkt in packets {
-                        self.write_out(sh, egress, sched, now, pkt);
-                    }
-                }
+                self.drive_machine(sh, egress, sched, now, flow, |m| m.on_external_connected());
             }
             SocketState::ConnectFailed { refused } => {
                 sh.checkin_rng(flow, rng);
                 self.stats.connects_failed += 1;
-                if let Some(client) = self.clients.get_mut(flow) {
-                    let packets = client.machine_mut().on_external_connect_failed(refused);
-                    for pkt in packets {
-                        self.write_out(sh, egress, sched, now, pkt);
-                    }
-                }
-                sink.finish_flow(flow, now, false);
+                let failed = |m: &mut TcpStateMachine| m.on_external_connect_failed(refused);
+                self.drive_machine(sh, egress, sched, now, flow, failed);
+                sh.flows.record_mut(flow).finish(now, false);
             }
             _ => sh.checkin_rng(flow, rng),
         }
@@ -505,10 +468,11 @@ impl RelayStage {
     fn map_flow(
         &mut self,
         sh: &mut EngineShared,
-        flow: FourTuple,
+        flow: FlowId,
         now: SimTime,
     ) -> (Option<u32>, Option<String>) {
-        let registered_at = self.flow_registered_at.get(&flow).copied().unwrap_or(now);
+        let record = sh.flows.record(flow);
+        let (tuple, registered_at) = (record.flow, record.registered_at.unwrap_or(now));
         // The mapper's draw count scales with the connection table (a
         // `/proc/net` parse samples a cost per entry), and the table holds
         // whatever flows happen to be co-resident. Under the flow-keyed
@@ -520,15 +484,15 @@ impl RelayStage {
             EngineDiscipline::SharedDevice => &mut sh.rng,
             EngineDiscipline::FlowKeyed => {
                 keyed_rng = mop_simnet::SimRng::seed_from_u64(
-                    sh.config.seed ^ flow.canonical().stable_hash() ^ MAPPING_KEY_SALT,
+                    sh.config.seed ^ tuple.canonical().stable_hash() ^ MAPPING_KEY_SALT,
                 );
                 &mut keyed_rng
             }
         };
         let outcome = match &mut self.mapper {
-            Mapper::Eager(m) => m.map(&self.conn_table, &sh.cost, rng, flow),
-            Mapper::Cached(m) => m.map(&self.conn_table, &sh.cost, rng, flow),
-            Mapper::Lazy(m) => m.map(&self.conn_table, &sh.cost, rng, flow, registered_at, now),
+            Mapper::Eager(m) => m.map(&self.conn_table, &sh.cost, rng, tuple),
+            Mapper::Cached(m) => m.map(&self.conn_table, &sh.cost, rng, tuple),
+            Mapper::Lazy(m) => m.map(&self.conn_table, &sh.cost, rng, tuple, registered_at, now),
         };
         let lookup_cost = outcome
             .uid
@@ -551,7 +515,7 @@ impl RelayStage {
         egress: &mut EgressStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        flow: FlowId,
         bytes: &[u8],
     ) {
         if sh.config.content_inspection {
@@ -560,7 +524,7 @@ impl RelayStage {
             sh.checkin_rng(flow, rng);
             sh.ledger.charge("Inspection", inspect);
         }
-        let Some(&socket) = self.socket_by_flow.get(&flow) else { return };
+        let Some(socket) = sh.flows.record(flow).socket else { return };
         if !matches!(self.sockets.state(socket), SocketState::Connected | SocketState::HalfClosed)
         {
             return;
@@ -568,12 +532,7 @@ impl RelayStage {
         self.sockets.buffer_write(socket, bytes.len());
         self.sockets.flush_writes(&mut sh.net, socket, now);
         // The socket write completes locally; acknowledge the app's data.
-        if let Some(client) = self.clients.get_mut(flow) {
-            let packets = client.machine_mut().on_external_write_complete();
-            for pkt in packets {
-                self.write_out(sh, egress, sched, now, pkt);
-            }
-        }
+        self.drive_machine(sh, egress, sched, now, flow, |m| m.on_external_write_complete());
         if let Some(ready_at) = self.sockets.next_read_ready_at(socket) {
             sched.schedule(ready_at.max(now), Event::SocketReadable(flow));
         }
@@ -588,9 +547,9 @@ impl RelayStage {
         egress: &mut EgressStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        flow: FlowId,
     ) {
-        let Some(&socket) = self.socket_by_flow.get(&flow) else { return };
+        let Some(socket) = sh.flows.record(flow).socket else { return };
         // The socket layer hands out a pooled buffer for the readable bytes,
         // so the read loop performs no per-read allocation in steady state.
         let data = self.sockets.take_readable_pooled(socket, now);
@@ -608,7 +567,7 @@ impl RelayStage {
             // and, when backlogged, amortises across the burst.
             let start = sh.worker_step(now, segment_cost);
             let mut arm_rto = None;
-            if let Some(client) = self.clients.get_mut(flow) {
+            if let Some(client) = sh.flows.client_mut(flow) {
                 let packets = client.machine_mut().on_external_data(&data);
                 // On fault-capable networks, register every payload-bearing
                 // segment with the sender scoreboard before it leaves: the
@@ -630,16 +589,16 @@ impl RelayStage {
                 self.stats.bytes_in += total as u64;
                 let mut scratch = std::mem::take(&mut self.outbound_scratch);
                 scratch.extend(packets.into_iter().map(|pkt| (start, pkt)));
-                self.emit_outbound(sh, egress, sched, scratch);
+                self.emit_outbound(sh, egress, sched, flow, scratch);
             }
             if let Some(rto_ns) = arm_rto {
-                self.arm_rto_at(sched, flow, start + SimDuration::from_nanos(rto_ns));
+                Self::arm_rto_at(sh, sched, flow, start + SimDuration::from_nanos(rto_ns));
             }
         }
         self.sockets.recycle_buffer(data);
         if let Some(next) = self.sockets.next_read_ready_at(socket) {
             sched.schedule(next, Event::SocketReadable(flow));
-        } else if self.pending_half_close.contains(&flow) {
+        } else if sh.flows.live(flow).is_some_and(|live| live.half_close) {
             self.finish_half_close(sh, egress, sched, now, flow);
         }
     }
@@ -650,14 +609,14 @@ impl RelayStage {
         egress: &mut EgressStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        flow: FlowId,
     ) {
-        let Some(&socket) = self.socket_by_flow.get(&flow) else { return };
+        let Some(socket) = sh.flows.record(flow).socket else { return };
         self.sockets.half_close(socket);
         if self.sockets.read_exhausted(socket) {
             self.finish_half_close(sh, egress, sched, now, flow);
         } else {
-            self.pending_half_close.insert(flow);
+            sh.flows.live_or_take(flow).half_close = true;
         }
     }
 
@@ -669,59 +628,77 @@ impl RelayStage {
         egress: &mut EgressStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        flow: FlowId,
     ) {
-        self.pending_half_close.remove(&flow);
-        if let Some(&socket) = self.socket_by_flow.get(&flow) {
-            self.sockets.close(socket);
-            self.selector.deregister(socket);
-        }
-        if let Some(client) = self.clients.get_mut(flow) {
-            let packets = client.machine_mut().on_external_closed(false);
-            for pkt in packets {
-                self.write_out(sh, egress, sched, now, pkt);
-            }
+        sh.flows.update(flow, |live| live.half_close = false);
+        self.close_socket(sh, flow);
+        self.drive_machine(sh, egress, sched, now, flow, |m| m.on_external_closed(false));
+    }
+
+    /// Feeds one socket-side event into `flow`'s state machine, if its
+    /// client is live, and writes the packets the machine answers with.
+    fn drive_machine(
+        &mut self,
+        sh: &mut EngineShared,
+        egress: &mut EgressStage,
+        sched: &mut TimerScheduler<Event>,
+        now: SimTime,
+        flow: FlowId,
+        event: impl FnOnce(&mut TcpStateMachine) -> Vec<Packet>,
+    ) {
+        let Some(client) = sh.flows.client_mut(flow) else { return };
+        for pkt in event(client.machine_mut()) {
+            self.write_out(sh, egress, sched, now, flow, pkt);
         }
     }
 
-    fn close_external(&mut self, flow: FourTuple) {
-        if let Some(&socket) = self.socket_by_flow.get(&flow) {
+    /// Closes `flow`'s external socket, if it has one, and stops selecting on
+    /// it.
+    fn close_socket(&mut self, sh: &EngineShared, flow: FlowId) {
+        if let Some(socket) = sh.flows.record(flow).socket {
             self.sockets.close(socket);
             self.selector.deregister(socket);
         }
-        self.conn_table.remove(flow);
+    }
+
+    fn close_external(&mut self, sh: &EngineShared, flow: FlowId) {
+        self.close_socket(sh, flow);
+        self.conn_table.remove(sh.flows.key(flow));
     }
 
     fn remove_client(
         &mut self,
         sh: &mut EngineShared,
-        egress: &mut EgressStage,
-        sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        flow: FlowId,
     ) {
-        self.disarm_timers(sched, flow);
-        self.clients.remove(flow);
-        self.conn_table.remove(flow);
-        sink.finish_flow(flow, now, true);
-        self.release_flow_state(sh, egress, flow);
-        self.update_memory_ledger(sh);
+        Self::disarm_timers(sh, sched, flow);
+        self.teardown(sh, now, flow, true);
+        Self::update_memory_ledger(sh);
     }
 
-    /// Evicts a finished flow's keyed stochastic state (RNG stream, writer
+    /// Drops `flow`'s client, connection-table row and keyed state, and
+    /// records how the flow ended.
+    fn teardown(&mut self, sh: &mut EngineShared, now: SimTime, flow: FlowId, completed: bool) {
+        sh.flows.remove_client(flow);
+        let record = sh.flows.record_mut(flow);
+        self.conn_table.remove(record.flow);
+        record.finish(now, completed);
+        Self::release_flow_state(sh, flow);
+    }
+
+    /// Releases a finished flow's keyed stochastic state (RNG stream, writer
     /// lane, network context), so shard memory is bounded by *concurrent*
     /// flows, not by every flow a fleet run has ever seen.
     ///
     /// Safe for determinism: if a stray late packet recreates the state, the
     /// fresh stream restarts from the flow's seed — still a pure function of
     /// `(seed, four-tuple)`, so every shard count recreates it identically.
-    fn release_flow_state(&mut self, sh: &mut EngineShared, egress: &mut EgressStage, flow: FourTuple) {
+    fn release_flow_state(sh: &mut EngineShared, flow: FlowId) {
         if sh.config.discipline == EngineDiscipline::FlowKeyed {
-            let key = flow.canonical();
-            sh.flow_rngs.remove(&key);
-            egress.release_lane(key);
-            sh.net.release_flow(flow);
+            sh.flows.update(flow, |live| (live.rng, live.lane) = (None, None));
+            sh.net.release_flow(sh.flows.key(flow));
         }
     }
 
@@ -737,14 +714,13 @@ impl RelayStage {
     /// waste a timer and risk a late fire flipping a completed flow's
     /// outcome.
     fn rearm_idle(
-        &mut self,
-        sh: &EngineShared,
+        sh: &mut EngineShared,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        flow: FlowId,
     ) {
         let Some(timeout) = sh.config.idle_timeout else { return };
-        let Some(client) = self.clients.get_mut(flow) else { return };
+        let Some(client) = sh.flows.client_mut(flow) else { return };
         let state = client.state();
         if state == mop_tcpstack::TcpState::Listen || state.is_terminal() {
             if let Some(token) = client.timers.disarm_idle() {
@@ -760,8 +736,8 @@ impl RelayStage {
 
     /// Disarms (and cancels) both of `flow`'s timers, if armed. Teardown
     /// paths use this so no timer can fire into freed per-flow state.
-    fn disarm_timers(&mut self, sched: &mut TimerScheduler<Event>, flow: FourTuple) {
-        if let Some(client) = self.clients.get_mut(flow) {
+    fn disarm_timers(sh: &mut EngineShared, sched: &mut TimerScheduler<Event>, flow: FlowId) {
+        if let Some(client) = sh.flows.client_mut(flow) {
             let tokens = [client.timers.disarm_idle(), client.timers.disarm_rto()];
             for token in tokens.into_iter().flatten() {
                 sched.cancel(TimerHandle::from_token(token));
@@ -771,18 +747,16 @@ impl RelayStage {
 
     /// A connection's idle timer fired: the app has relayed nothing for the
     /// configured timeout, so reap the connection — close the external
-    /// socket, drop the client and its keyed state, and mark the flow
+    /// socket, drop the client and its live state, and mark the flow
     /// failed.
     pub(crate) fn on_idle_timeout(
         &mut self,
         sh: &mut EngineShared,
-        egress: &mut EgressStage,
-        sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        flow: FlowId,
     ) {
-        let Some(client) = self.clients.get_mut(flow) else { return };
+        let Some(client) = sh.flows.client_mut(flow) else { return };
         // The firing timer is the armed one; a superseded timer was
         // cancelled at re-arm and never reaches here.
         client.timers.disarm_idle();
@@ -798,24 +772,23 @@ impl RelayStage {
         if let Some(token) = client.timers.disarm_rto() {
             sched.cancel(TimerHandle::from_token(token));
         }
-        if let Some(&socket) = self.socket_by_flow.get(&flow) {
-            self.sockets.close(socket);
-            self.selector.deregister(socket);
-        }
-        self.clients.remove(flow);
-        self.conn_table.remove(flow);
-        sink.finish_flow(flow, now, false);
-        self.release_flow_state(sh, egress, flow);
+        self.close_socket(sh, flow);
+        self.teardown(sh, now, flow, false);
         self.stats.idle_reaped += 1;
-        self.update_memory_ledger(sh);
+        Self::update_memory_ledger(sh);
     }
 
     // ----- loss recovery --------------------------------------------------
 
     /// (Re-)arms `flow`'s retransmission timer at `at`, cancelling any
     /// superseded deadline (O(1) on the timing wheel).
-    fn arm_rto_at(&mut self, sched: &mut TimerScheduler<Event>, flow: FourTuple, at: SimTime) {
-        let Some(client) = self.clients.get_mut(flow) else { return };
+    fn arm_rto_at(
+        sh: &mut EngineShared,
+        sched: &mut TimerScheduler<Event>,
+        flow: FlowId,
+        at: SimTime,
+    ) {
+        let Some(client) = sh.flows.client_mut(flow) else { return };
         let handle = sched.schedule(at, Event::RtoTimeout(flow));
         if let Some(superseded) = client.timers.arm_rto(handle.token()) {
             sched.cancel(TimerHandle::from_token(superseded));
@@ -833,11 +806,11 @@ impl RelayStage {
         egress: &mut EgressStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        flow: FlowId,
         ack: u32,
         sack: Option<SackBlocks>,
     ) {
-        let Some(client) = self.clients.get_mut(flow) else { return };
+        let Some(client) = sh.flows.client_mut(flow) else { return };
         let Some(recovery) = client.recovery.as_mut() else { return };
         let mut reaction = recovery.on_ack(ack, sack, now.as_nanos());
         let rto_ns = recovery.rto_ns();
@@ -860,11 +833,7 @@ impl RelayStage {
         } else if reaction.advanced || reaction.fast_retransmit {
             // New progress (or a retransmit) re-bases the deadline on the
             // current, sample-updated RTO.
-            let handle =
-                sched.schedule(now + SimDuration::from_nanos(rto_ns), Event::RtoTimeout(flow));
-            if let Some(superseded) = client.timers.arm_rto(handle.token()) {
-                sched.cancel(TimerHandle::from_token(superseded));
-            }
+            Self::arm_rto_at(sh, sched, flow, now + SimDuration::from_nanos(rto_ns));
         }
         self.stats.retransmits += resend.len() as u64;
         self.stats.fast_retransmits += u64::from(reaction.fast_retransmit);
@@ -872,7 +841,7 @@ impl RelayStage {
         if !resend.is_empty() {
             let mut scratch = std::mem::take(&mut self.outbound_scratch);
             scratch.extend(resend);
-            self.emit_outbound(sh, egress, sched, scratch);
+            self.emit_outbound(sh, egress, sched, flow, scratch);
         }
     }
 
@@ -885,9 +854,9 @@ impl RelayStage {
         egress: &mut EgressStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        flow: FlowId,
     ) {
-        let Some(client) = self.clients.get_mut(flow) else { return };
+        let Some(client) = sh.flows.client_mut(flow) else { return };
         // The firing timer is the armed one; a superseded timer was
         // cancelled at re-arm and never reaches here.
         client.timers.disarm_rto();
@@ -896,16 +865,12 @@ impl RelayStage {
             // Raced with the final ACK: nothing left in flight.
             return;
         };
-        let rto_ns = recovery.rto_ns();
+        let rto = SimDuration::from_nanos(recovery.rto_ns());
         let pkt = client.machine().retransmit_data(rt.seq, rt.payload);
-        let handle =
-            sched.schedule(now + SimDuration::from_nanos(rto_ns), Event::RtoTimeout(flow));
-        if let Some(superseded) = client.timers.arm_rto(handle.token()) {
-            sched.cancel(TimerHandle::from_token(superseded));
-        }
+        Self::arm_rto_at(sh, sched, flow, now + rto);
         self.stats.rto_fires += 1;
         self.stats.retransmits += 1;
-        self.write_out(sh, egress, sched, now, pkt);
+        self.write_out(sh, egress, sched, now, flow, pkt);
     }
 
     // ----- DNS ------------------------------------------------------------
@@ -913,13 +878,13 @@ impl RelayStage {
     fn start_dns_measurement(
         &mut self,
         sh: &mut EngineShared,
-        sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        flow: FlowId,
         tx: &mop_tcpstack::DnsTransaction,
     ) {
         let (id, name) = (tx.id, tx.name.as_str());
+        let tuple = sh.flows.key(flow);
         // The whole DNS processing runs in a temporary blocking-mode thread
         // (§2.4): socket set-up, then a blocking send/receive pair.
         let mut rng = sh.checkout_rng(flow);
@@ -927,14 +892,15 @@ impl RelayStage {
         sh.checkin_rng(flow, rng);
         sh.ledger.charge("DnsThreads", spawn);
         let send_at = now + spawn;
-        let outcome = sh.net.dns_lookup(flow.src, name, send_at);
-        self.dns_pending.insert(flow, (sh.timestamp(send_at), name.to_string()));
+        let outcome = sh.net.dns_lookup(tuple.src, name, send_at);
+        let sent = sh.timestamp(send_at);
+        sh.flows.live_or_take(flow).dns_pending = Some((sent, name.to_string()));
         for addr in &outcome.addrs {
             self.ip_to_domain.insert(IpAddr::V4(*addr), name.to_string());
         }
         let Some(response_at) = outcome.response_at else {
             // Query lost: the app sees a timeout; nothing is measured.
-            sink.finish_flow(flow, send_at, false);
+            sh.flows.record_mut(flow).finish(send_at, false);
             return;
         };
         // Build the response datagram the relay writes back to the app.
@@ -944,7 +910,7 @@ impl RelayStage {
         } else {
             DnsMessage::answer(&query, &outcome.addrs, 300)
         };
-        let to_app = PacketBuilder::new(flow.dst, flow.src).dns(&response);
+        let to_app = PacketBuilder::new(tuple.dst, tuple.src).dns(&response);
         sched.schedule(response_at, Event::DnsResponse { flow, packet: to_app });
     }
 
@@ -958,17 +924,21 @@ impl RelayStage {
         sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        flow: FlowId,
         packet: Packet,
     ) {
-        let Some((sent_ts, name)) = self.dns_pending.remove(&flow) else { return };
+        let Some((sent_ts, name)) = sh.flows.update(flow, |live| live.dns_pending.take()).flatten()
+        else {
+            return;
+        };
+        let tuple = sh.flows.key(flow);
         let post = sh.timestamp(now);
-        let uid = self.conn_table.uid_of(flow);
+        let uid = self.conn_table.uid_of(tuple);
         let package = uid.and_then(|u| self.packages.name_for_uid_cached(u));
-        let tcpdump_ms = sh.net.tap().dns_rtt(flow).map(|d| d.as_millis_f64());
+        let tcpdump_ms = sh.net.tap().dns_rtt(tuple).map(|d| d.as_millis_f64());
         let sample = RttSample {
             kind: SampleKind::Dns,
-            flow,
+            flow: tuple,
             uid,
             package,
             domain: Some(name),
@@ -977,12 +947,12 @@ impl RelayStage {
             tcpdump_ms,
             at: now,
         };
-        self.emit_sample(sh, sink, sched, sample);
+        self.emit_sample(sh, sink, sched, flow, sample);
         // Forward the answer to the app.
-        self.write_out(sh, egress, sched, now, packet);
-        // The DNS exchange is complete; its keyed state will not be used
+        self.write_out(sh, egress, sched, now, flow, packet);
+        // The DNS exchange is complete; its live state will not be used
         // again (the response delivery draws nothing).
-        self.release_flow_state(sh, egress, flow);
+        Self::release_flow_state(sh, flow);
     }
 
     // ----- misc -----------------------------------------------------------
@@ -994,11 +964,11 @@ impl RelayStage {
         sh.net.server_for(addr).and_then(|s| s.domains.first().cloned())
     }
 
-    fn update_memory_ledger(&mut self, sh: &mut EngineShared) {
+    fn update_memory_ledger(sh: &mut EngineShared) {
         // Each live client holds a 64 KiB read and a 64 KiB write buffer
         // (§3.4); the engine itself has a fixed footprint. Content inspection
         // keeps reassembled flow buffers that dwarf the relay's own state.
-        let clients = self.clients.len();
+        let clients = sh.flows.live_clients();
         let base = 6 * 1024 * 1024;
         let buffers = clients * 2 * 65_535;
         sh.ledger.set_memory("relay", base + buffers);

@@ -437,9 +437,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest array/object nesting [`from_str`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let one line of
+/// `[` overflow the stack; deeper documents get a [`ParseError`] instead.
+pub const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -469,15 +476,29 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Value, ParseError> {
         self.skip_ws();
         match self.peek() {
+            Some(b'[' | b'{') if self.depth >= MAX_DEPTH => {
+                self.error(format!("nesting deeper than {MAX_DEPTH} levels"))
+            }
             Some(b'n') => self.parse_keyword("null", Value::Null),
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => self.error("expected a JSON value"),
         }
+    }
+
+    /// Parses one array or object one nesting level down.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
@@ -654,9 +675,10 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parses a JSON document.
+/// Parses a JSON document. Documents nested deeper than [`MAX_DEPTH`]
+/// arrays/objects are rejected with a [`ParseError`].
 pub fn from_str(input: &str) -> Result<Value, ParseError> {
-    let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut parser = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     let value = parser.parse_value()?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {

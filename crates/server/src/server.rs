@@ -58,6 +58,22 @@ impl Server {
         &self.plane
     }
 
+    /// Handles one request frame as read off the wire, producing its output
+    /// frames. A frame that is not UTF-8 gets one `parse-error` frame.
+    pub fn handle_frame(&mut self, frame: &[u8]) -> Turn {
+        match std::str::from_utf8(frame) {
+            Ok(line) => self.handle_line(line),
+            Err(err) => Turn {
+                frames: vec![error_frame(
+                    0,
+                    ErrorCode::ParseError,
+                    &format!("frame is not valid UTF-8: {err}"),
+                )],
+                shutdown: false,
+            },
+        }
+    }
+
     /// Handles one request line, producing its output frames.
     pub fn handle_line(&mut self, line: &str) -> Turn {
         let line = line.trim_end_matches(['\r', '\n']);

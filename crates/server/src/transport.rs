@@ -1,8 +1,10 @@
 //! Transports: moving protocol lines between a [`Server`] and a peer.
 //!
 //! A transport is nothing but a line loop — read one line, hand it to
-//! [`Server::handle_line`], write the resulting frames, flush, repeat
-//! until the peer hangs up or a handled frame requests shutdown. Keeping
+//! [`Server::handle_frame`], write the resulting frames, flush, repeat
+//! until the peer hangs up or a handled frame requests shutdown. Lines are
+//! read as raw bytes, so a frame that is not UTF-8 gets a `parse-error`
+//! frame like any other malformed request instead of ending the loop. Keeping
 //! the loop generic over `BufRead`/`Write` means the stdio transport, the
 //! Unix-socket transport and the in-memory conformance tests all exercise
 //! the *same* code path; the conformance transcripts therefore certify
@@ -15,15 +17,22 @@ use crate::server::Server;
 /// Serves one session over a pair of byte streams. Returns when the
 /// reader reaches end-of-file or a request triggered shutdown; the value
 /// says whether the stop was a shutdown request (`true`) or a hang-up
-/// (`false`).
+/// (`false`). An `Err` is an I/O failure of this session's streams (a
+/// peer that hung up before reading its response, a reset); the server
+/// itself is unaffected and can serve the next session.
 pub fn serve<R: BufRead, W: Write>(
     server: &mut Server,
-    reader: R,
+    mut reader: R,
     mut writer: W,
 ) -> io::Result<bool> {
-    for line in reader.lines() {
-        let line = line?;
-        let turn = server.handle_line(&line);
+    // One buffer for the whole session: frames are read into it in place.
+    let mut frame = Vec::new();
+    loop {
+        frame.clear();
+        if reader.read_until(b'\n', &mut frame)? == 0 {
+            return Ok(false);
+        }
+        let turn = server.handle_frame(&frame);
         for frame in &turn.frames {
             writer.write_all(frame.as_bytes())?;
             writer.write_all(b"\n")?;
@@ -36,7 +45,6 @@ pub fn serve<R: BufRead, W: Write>(
             return Ok(true);
         }
     }
-    Ok(false)
 }
 
 /// Serves one session over this process's stdin/stdout (the `--stdio`
@@ -49,7 +57,9 @@ pub fn serve_stdio(server: &mut Server) -> io::Result<bool> {
 
 /// Serves sessions over a Unix domain socket, accepting connections one
 /// at a time so the plane never sees interleaved sessions. The listener
-/// keeps accepting until a session ends with `server.shutdown`.
+/// keeps accepting until a session ends with `server.shutdown`; a session
+/// that fails with an I/O error ends there, and the listener goes back to
+/// `accept`.
 #[cfg(unix)]
 pub fn serve_unix(server: &mut Server, socket_path: &std::path::Path) -> io::Result<()> {
     use std::os::unix::net::UnixListener;
@@ -61,9 +71,13 @@ pub fn serve_unix(server: &mut Server, socket_path: &std::path::Path) -> io::Res
     let listener = UnixListener::bind(socket_path)?;
     loop {
         let (stream, _) = listener.accept()?;
-        let reader = BufReader::new(stream.try_clone()?);
-        if serve(server, reader, stream)? {
-            break;
+        let session = stream
+            .try_clone()
+            .and_then(|read_half| serve(server, BufReader::new(read_half), stream));
+        match session {
+            Ok(true) => break,
+            Ok(false) => {}
+            Err(err) => eprintln!("mop-serve: session ended by an I/O error: {err}"),
         }
     }
     std::fs::remove_file(socket_path).ok();

@@ -187,3 +187,104 @@ fn transcripts_replay_over_a_unix_socket() {
         assert!(!socket.exists(), "serve_unix unlinks its socket on shutdown");
     }
 }
+
+/// The golden `errors.txt` exchanges with `id` 1 (`server.info`) and 2
+/// (`no.such`): each answers with exactly one frame.
+fn golden_single_frames() -> [(String, String); 2] {
+    let exchanges = load("errors.txt", 2);
+    let pick = |prefix: &str| {
+        let e = exchanges.iter().find(|e| e.request.starts_with(prefix)).unwrap();
+        assert_eq!(e.expected.len(), 1);
+        (e.request.clone(), e.expected[0].clone())
+    };
+    [pick("{\"id\":1,"), pick("{\"id\":2,")]
+}
+
+/// The start of the frame a malformed request line gets.
+const PARSE_ERROR: &str = "{\"id\":0,\"error\":{\"code\":\"parse-error\"";
+
+/// Serves `input` over the in-memory stream transport of a fresh
+/// two-shard server and returns the output frames.
+fn serve_bytes(input: &[u8]) -> Vec<String> {
+    let mut server = Server::new(config(2));
+    let mut output = Vec::new();
+    let stopped = serve(&mut server, input, &mut output).unwrap();
+    assert!(!stopped, "no shutdown was requested");
+    String::from_utf8(output).unwrap().lines().map(str::to_string).collect()
+}
+
+#[test]
+fn a_nesting_bomb_gets_one_parse_error_and_the_session_goes_on() {
+    let [(info, info_reply), _] = golden_single_frames();
+    for bomb in ["[".repeat(200_000), "{\"a\":".repeat(200_000)] {
+        let input = format!("{bomb}\n{info}\n");
+        let frames = serve_bytes(input.as_bytes());
+        assert_eq!(frames.len(), 2, "one frame per request line");
+        assert!(frames[0].starts_with(PARSE_ERROR), "{}", frames[0]);
+        assert!(frames[0].contains("nesting"), "{}", frames[0]);
+        assert_eq!(frames[1], info_reply, "the next request answers as in the golden transcript");
+    }
+}
+
+#[test]
+fn an_invalid_utf8_frame_gets_one_parse_error_and_the_session_goes_on() {
+    let [(info, info_reply), (unknown, unknown_reply)] = golden_single_frames();
+    let mut input = format!("{info}\n").into_bytes();
+    input.extend_from_slice(b"{\"id\":7,\"method\":\"\xff\xfe\"}\n");
+    input.extend_from_slice(format!("{unknown}\n").as_bytes());
+    let frames = serve_bytes(&input);
+    assert_eq!(frames.len(), 3, "exactly one frame per request line");
+    assert_eq!(frames[0], info_reply);
+    assert!(frames[1].starts_with(PARSE_ERROR), "{}", frames[1]);
+    assert!(frames[1].contains("UTF-8"), "{}", frames[1]);
+    assert_eq!(frames[2], unknown_reply);
+}
+
+/// A peer that sends bad bytes and hangs up before reading its answer
+/// ends only its own session: the socket server goes back to `accept` and
+/// serves the next client byte for byte.
+#[cfg(unix)]
+#[test]
+fn a_bad_session_does_not_stop_the_socket_server() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let socket =
+        std::env::temp_dir().join(format!("mop-serve-test-{}-hangup.sock", std::process::id()));
+    let server_socket = socket.clone();
+    let handle = std::thread::spawn(move || {
+        let mut server = Server::new(config(2));
+        mop_server::serve_unix(&mut server, &server_socket)
+    });
+    let connect = || {
+        for _ in 0..100 {
+            if let Ok(stream) = UnixStream::connect(&socket) {
+                return stream;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        panic!("the server thread binds its socket");
+    };
+
+    // Invalid UTF-8, a nesting bomb and a valid request, then hang up
+    // without reading a single response.
+    let mut rude = connect();
+    rude.write_all(b"\xff\xfe\xfd\n").unwrap();
+    rude.write_all(format!("{}\n", "[".repeat(200_000)).as_bytes()).unwrap();
+    rude.write_all(b"{\"id\":1,\"method\":\"server.info\"}\n").unwrap();
+    drop(rude);
+
+    let exchanges = load("errors.txt", 2);
+    let stream = connect();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    for (i, exchange) in exchanges.iter().enumerate() {
+        writeln!(writer, "{}", exchange.request).unwrap();
+        for expected in &exchange.expected {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert_eq!(line.trim_end(), expected, "errors.txt exchange {i} after a bad session");
+        }
+    }
+    handle.join().unwrap().unwrap();
+}

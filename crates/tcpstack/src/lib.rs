@@ -11,8 +11,8 @@
 //! * [`machine`] — [`machine::TcpStateMachine`], which consumes tunnel
 //!   segments from the app and socket-side events from the relay, and emits
 //!   response packets plus relay actions,
-//! * [`client`] — [`client::TcpClient`] and [`client::ClientRegistry`], the
-//!   two-way splice between a state machine and its external socket,
+//! * [`client`] — [`client::TcpClient`], the two-way splice between a state
+//!   machine and its external socket,
 //! * [`recovery`] — [`recovery::RecoveryState`], the sender-side loss
 //!   recovery (RFC 6298 RTT estimation and retransmission timing, SACK
 //!   scoreboard, fast retransmit) plus the pluggable congestion controllers
@@ -30,7 +30,7 @@ pub mod state;
 pub mod timer;
 pub mod udp;
 
-pub use client::{ClientRegistry, TcpClient};
+pub use client::TcpClient;
 pub use machine::{RelayAction, SegmentRef, SegmentVerdict, TcpStateMachine};
 pub use recovery::{
     AckReaction, CongestionAlgo, CongestionControl, Cubic, RecoveryState, Reno, Retransmit,

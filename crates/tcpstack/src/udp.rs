@@ -122,13 +122,6 @@ impl UdpRegistry {
         Self::default()
     }
 
-    /// Creates an empty registry with room for `capacity` concurrent
-    /// associations (shard-sized pre-allocation, like
-    /// [`crate::ClientRegistry::with_capacity`]).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self { associations: FlowMap::with_capacity_and_hasher(capacity, Default::default()) }
-    }
-
     /// Resets the registry to its just-constructed state, keeping the table
     /// allocation.
     pub fn reset(&mut self) {
